@@ -15,7 +15,6 @@
 //	recoverylab -checktrace soak.jsonl          # validate a trace file's schema
 //	recoverylab -lint                           # faultlint static classification vs seeded truth
 //	recoverylab -supervised -workers 8          # shard the sweep over 8 workers
-//	recoverylab -benchpar BENCH_parallel.json   # measure the engine's speedup
 //	recoverylab -resil                          # chaos faults × client policies over the miner
 //	recoverylab -mreboot                        # seeded bugs × recovery mechanisms on the component trees
 //	recoverylab -scope                          # static class/rung prediction vs dynamic ground truth
@@ -71,16 +70,16 @@
 // observability layer (internal/obsv) to whichever experiment runs; see
 // OBSERVABILITY.md for the metric catalogue and the trace schema.
 //
-// -workers shards the matrix, supervised, soak, and lint sweeps over a
-// bounded worker pool (0, the default, means one worker per processor).
-// Output is byte-identical at every worker count: shards derive their seeds
-// from the root seed and the shard index alone and are reduced in shard
-// order (DESIGN.md §9).
+// -workers shards every experiment's arms over a bounded worker pool (0, the
+// default, means one worker per processor). Output is byte-identical at
+// every worker count: arms derive their seeds from the root seed and the arm
+// index alone and are folded in arm order (DESIGN.md §9).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -121,7 +120,6 @@ func run() error {
 		timeline   = flag.Bool("timeline", false, "print human-readable episode timelines")
 		checkTrace = flag.String("checktrace", "", "validate a JSONL episode trace file and exit")
 		workers    = flag.Int("workers", 0, "worker pool size for the sharded sweeps (0 = one per processor)")
-		benchPar   = flag.String("benchpar", "", "measure the parallel engine's speedup and write the JSON artifact to this file")
 		resil      = flag.Bool("resil", false, "run the RESIL chaos sweep: injected HTTP faults x client policies")
 		maxPages   = flag.Int("maxpages", 0, "per-arm crawl page cap (with -resil; 0 = default)")
 		mreboot    = flag.Bool("mreboot", false, "run the MREBOOT sweep: seeded bugs x recovery mechanisms on the component trees")
@@ -143,9 +141,6 @@ func run() error {
 	if *checkTrace != "" {
 		return runCheckTrace(*checkTrace)
 	}
-	if *benchPar != "" {
-		return runBenchParallel(*benchPar, *seed)
-	}
 
 	// The telemetry sinks are created only when some flag consumes them; a
 	// nil telemetry keeps every instrumented path on its zero-cost branch.
@@ -165,169 +160,138 @@ func run() error {
 		}
 	}
 
-	// gate holds a verdict that should fail the process only after the
-	// requested telemetry has been written (the -resil CI check).
+	// gate holds a CI-gated experiment's verdict; it fails the process only
+	// after the requested telemetry has been written.
 	var gate error
-
-	switch {
-	case *durableRun:
-		rep, err := experiment.RunDurable(experiment.DurableConfig{
-			Seed: *seed, Telemetry: tel, Workers: *workers,
-			Warehouse: *whPath, Resume: *resume, HaltAfter: *haltAfter,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep)
-		gate = rep.Check()
-	case *corpusRun:
-		rep, err := experiment.RunCorpus(experiment.CorpusConfig{
-			Seed: *seed, Spec: *spec,
-			Supervise: faultstudy.SupervisorConfig{GrowResources: *grow},
-			Telemetry: tel, Workers: *workers,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep)
-		if *corpusOut != "" {
-			if err := writeCorpus(*spec, *seed, *workers, *corpusOut); err != nil {
-				return err
-			}
-		}
-		gate = rep.Check()
-	case *serve:
-		rep, err := experiment.RunServe(experiment.ServeConfig{
-			Seed: *seed, Users: *users, Arrival: *arrive,
-			Telemetry: tel, Workers: *workers,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep)
-		if *reqLog != "" {
-			if err := writeRequestLog(rep, *reqLog); err != nil {
-				return err
-			}
-		}
-		gate = rep.Check()
-	case *scope:
-		rep, err := experiment.RunScope(experiment.ScopeConfig{
-			Seed: *seed, Telemetry: tel, Workers: *workers,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep)
-		gate = rep.Check()
-	case *mreboot:
-		rep, err := experiment.RunMReboot(experiment.MRebootConfig{
-			Seed: *seed, Telemetry: tel, Workers: *workers,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep)
-		gate = rep.Check()
-	case *resil:
-		rep, err := experiment.RunResil(experiment.ResilConfig{
-			Seed: *seed, MaxPages: *maxPages, Telemetry: tel, Workers: *workers,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep)
-		gate = rep.Check()
-	case *mechanism != "":
-		if err := runOne(*mechanism, policy, *seed, tel); err != nil {
-			return err
-		}
-	case *lint:
-		root, err := experiment.ModuleRoot()
-		if err != nil {
-			return err
-		}
-		report, err := experiment.RunLintWorkers(root, *workers)
-		if err != nil {
-			return err
-		}
-		fmt.Print(report)
-	case *soak:
-		results, err := faultstudy.RunSoak(faultstudy.SoakConfig{
-			Ops:       *ops,
-			Faults:    *nfaults,
-			Seed:      *seed,
-			Supervise: faultstudy.SupervisorConfig{GrowResources: *grow},
-			Telemetry: tel,
-			Workers:   *workers,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Println(faultstudy.RenderSoak(results))
-	case *load:
-		points, err := experiment.RunOpsToFailure(5000, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiment.RenderOpsToFailure(points))
-	case *sensitive:
-		points := experiment.RunClassifierSensitivity([]float64{0.25, 0.5, 0.75, 1.0, 1.5, 2.0})
-		fmt.Print(experiment.RenderSensitivity(points))
-	case *ablate:
-		retryAb, err := experiment.RunRetryAblation(5, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(retryAb)
-		fmt.Println()
-		rejuvAb, err := experiment.RunRejuvenationAblation([]int{0, 16, 32, 64, 128}, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(rejuvAb)
-		fmt.Println()
-		reclaimAb, err := experiment.RunReclaimAblation(*seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(reclaimAb)
-		fmt.Println()
-		mitAb, err := experiment.RunMitigationAblation(*seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(mitAb)
-	default:
-		matrix, err := faultstudy.RunRecoveryMatrixWorkers(policy, *seed, *workers)
-		if err != nil {
-			return err
-		}
-		if *supCol {
-			cfg := faultstudy.SupervisorConfig{GrowResources: *grow}
-			if err := matrix.AddSupervisedWorkers(*seed, cfg, tel, *workers); err != nil {
-				return err
-			}
-		}
-		fmt.Print(matrix)
-		if *lee93 {
-			fmt.Println()
-			fmt.Print(faultstudy.CompareLee93(matrix))
-		}
-		if *csvDir != "" {
-			files, err := faultstudy.ExportArtifacts(matrix)
+	gated := func(run func() (report, error), after func(report) error) func() error {
+		return func() error {
+			rep, err := run()
 			if err != nil {
 				return err
 			}
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				return err
-			}
-			for name, content := range files {
-				if err := os.WriteFile(filepath.Join(*csvDir, name), []byte(content), 0o644); err != nil {
+			fmt.Print(rep)
+			if after != nil {
+				if err := after(rep); err != nil {
 					return err
 				}
 			}
-			fmt.Printf("\nwrote %d CSV artifacts to %s\n", len(files), *csvDir)
+			gate = rep.Check()
+			return nil
+		}
+	}
+
+	// The experiments, in flag precedence order: the first selected one
+	// runs; the recovery matrix is the default.
+	experiments := []struct {
+		on  bool
+		run func() error
+	}{
+		{*durableRun, gated(func() (report, error) {
+			return experiment.RunDurable(experiment.DurableConfig{
+				Seed: *seed, Telemetry: tel, Workers: *workers,
+				Warehouse: *whPath, Resume: *resume, HaltAfter: *haltAfter,
+			})
+		}, nil)},
+		{*corpusRun, gated(func() (report, error) {
+			return experiment.RunCorpus(experiment.CorpusConfig{
+				Seed: *seed, Spec: *spec,
+				Supervise: faultstudy.SupervisorConfig{GrowResources: *grow},
+				Telemetry: tel, Workers: *workers,
+			})
+		}, func(report) error {
+			if *corpusOut == "" {
+				return nil
+			}
+			return writeCorpus(*spec, *seed, *workers, *corpusOut)
+		})},
+		{*serve, gated(func() (report, error) {
+			return experiment.RunServe(experiment.ServeConfig{
+				Seed: *seed, Users: *users, Arrival: *arrive,
+				Telemetry: tel, Workers: *workers,
+			})
+		}, func(rep report) error {
+			if *reqLog == "" {
+				return nil
+			}
+			return writeRequestLog(rep.(*experiment.ServeReport), *reqLog)
+		})},
+		{*scope, gated(func() (report, error) {
+			return experiment.RunScope(experiment.ScopeConfig{Seed: *seed, Telemetry: tel, Workers: *workers})
+		}, nil)},
+		{*mreboot, gated(func() (report, error) {
+			return experiment.RunMReboot(experiment.MRebootConfig{Seed: *seed, Telemetry: tel, Workers: *workers})
+		}, nil)},
+		{*resil, gated(func() (report, error) {
+			return experiment.RunResil(experiment.ResilConfig{
+				Seed: *seed, MaxPages: *maxPages, Telemetry: tel, Workers: *workers,
+			})
+		}, nil)},
+		{*mechanism != "", func() error { return runOne(*mechanism, policy, *seed, tel) }},
+		{*lint, func() error {
+			root, err := experiment.ModuleRoot()
+			if err != nil {
+				return err
+			}
+			rep, err := experiment.RunLint(root, *workers)
+			if err != nil {
+				return err
+			}
+			fmt.Print(rep)
+			return nil
+		}},
+		{*soak, func() error {
+			results, err := faultstudy.RunSoak(faultstudy.SoakConfig{
+				Ops: *ops, Faults: *nfaults, Seed: *seed,
+				Supervise: faultstudy.SupervisorConfig{GrowResources: *grow},
+				Telemetry: tel, Workers: *workers,
+			})
+			if err != nil {
+				return err
+			}
+			fmt.Println(faultstudy.RenderSoak(results))
+			return nil
+		}},
+		{*load, func() error {
+			points, err := experiment.RunOpsToFailure(5000, *seed)
+			if err != nil {
+				return err
+			}
+			fmt.Print(experiment.RenderOpsToFailure(points))
+			return nil
+		}},
+		{*sensitive, func() error {
+			points := experiment.RunClassifierSensitivity([]float64{0.25, 0.5, 0.75, 1.0, 1.5, 2.0})
+			fmt.Print(experiment.RenderSensitivity(points))
+			return nil
+		}},
+		{*ablate, func() error {
+			for i, ablation := range []func() (fmt.Stringer, error){
+				func() (fmt.Stringer, error) { return experiment.RunRetryAblation(5, *seed) },
+				func() (fmt.Stringer, error) {
+					return experiment.RunRejuvenationAblation([]int{0, 16, 32, 64, 128}, *seed)
+				},
+				func() (fmt.Stringer, error) { return experiment.RunReclaimAblation(*seed) },
+				func() (fmt.Stringer, error) { return experiment.RunMitigationAblation(*seed) },
+			} {
+				if i > 0 {
+					fmt.Println()
+				}
+				ab, err := ablation()
+				if err != nil {
+					return err
+				}
+				fmt.Print(ab)
+			}
+			return nil
+		}},
+		{true, func() error { return runMatrix(policy, *seed, *workers, *supCol, *grow, *lee93, *csvDir, tel) }},
+	}
+	for _, e := range experiments {
+		if e.on {
+			if err := e.run(); err != nil {
+				return err
+			}
+			break
 		}
 	}
 
@@ -335,6 +299,50 @@ func run() error {
 		return err
 	}
 	return gate
+}
+
+// runMatrix runs the recovery matrix — plus the supervised column, the Lee &
+// Iyer reconciliation, and the CSV artifacts when asked — and prints it.
+func runMatrix(policy faultstudy.RecoveryPolicy, seed int64, workers int, supCol, grow, lee93 bool, csvDir string, tel *experiment.Telemetry) error {
+	matrix, err := faultstudy.RunRecoveryMatrixWorkers(policy, seed, workers)
+	if err != nil {
+		return err
+	}
+	if supCol {
+		cfg := faultstudy.SupervisorConfig{GrowResources: grow}
+		if err := matrix.AddSupervised(seed, cfg, tel, workers); err != nil {
+			return err
+		}
+	}
+	fmt.Print(matrix)
+	if lee93 {
+		fmt.Println()
+		fmt.Print(faultstudy.CompareLee93(matrix))
+	}
+	if csvDir == "" {
+		return nil
+	}
+	files, err := faultstudy.ExportArtifacts(matrix)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(csvDir, 0o755); err != nil {
+		return err
+	}
+	for name, content := range files {
+		if err := os.WriteFile(filepath.Join(csvDir, name), []byte(content), 0o644); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("\nwrote %d CSV artifacts to %s\n", len(files), csvDir)
+	return nil
+}
+
+// report is what every CI-gated experiment returns: a printable report and
+// its gate verdict.
+type report interface {
+	String() string
+	Check() error
 }
 
 // emitTelemetry renders whatever telemetry outputs were requested after the
@@ -354,29 +362,13 @@ func emitTelemetry(tel *experiment.Telemetry, metrics, timeline bool, traceOut, 
 		}
 	}
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := tel.WriteTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(traceOut, tel.WriteTrace); err != nil {
 			return err
 		}
 		fmt.Printf("\nwrote %d episodes to %s\n", len(tel.Episodes()), traceOut)
 	}
 	if promOut != "" {
-		f, err := os.Create(promOut)
-		if err != nil {
-			return err
-		}
-		if err := tel.WritePrometheus(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(promOut, tel.WritePrometheus); err != nil {
 			return err
 		}
 		fmt.Printf("wrote metrics to %s\n", promOut)
@@ -391,16 +383,8 @@ func writeCorpus(specText string, seed int64, workers int, path string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
+	err = writeFile(path, func(w io.Writer) error { return corpusgen.New(parsed, seed).WriteJSONL(w, workers) })
 	if err != nil {
-		return err
-	}
-	c := corpusgen.New(parsed, seed)
-	if err := c.WriteJSONL(f, workers); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("\nwrote %d faults and %d episodes to %s\n", parsed.Faults, parsed.Episodes, path)
@@ -409,19 +393,24 @@ func writeCorpus(specText string, seed int64, workers int, path string) error {
 
 // writeRequestLog writes the SERVE experiment's per-request JSONL log.
 func writeRequestLog(rep *experiment.ServeReport, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteRequestLog(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(path, rep.WriteRequestLog); err != nil {
 		return err
 	}
 	fmt.Printf("\nwrote %d request records to %s\n", len(rep.Arms)*rep.Requests, path)
 	return nil
+}
+
+// writeFile creates path and fills it with write, closing it either way.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runCheckTrace validates a JSONL episode trace: every line parses against
@@ -464,7 +453,7 @@ func runOne(mechanism string, policy faultstudy.RecoveryPolicy, seed int64, tel 
 		runPolicy := policy
 		var ro *obsv.RecoveryObserver
 		if tel != nil {
-			mech, _ := experiment.Registry().Lookup(mechanism)
+			mech, _ := experiment.CorpusRegistry().Lookup(mechanism)
 			ro = obsv.NewRecoveryObserver(tel.Registry, tel.Recorder, obsv.Context{
 				App:     mech.App.String(),
 				FaultID: mechanism,

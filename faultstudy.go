@@ -248,9 +248,9 @@ func RenderSoak(results []SoakResult) string { return experiment.RenderSoak(resu
 type (
 	// Telemetry bundles a metrics registry and an episode recorder for one
 	// experiment run. Attach one via SoakConfig.Telemetry (or
-	// RecoveryMatrix.AddSupervisedObserved) and export with its WriteTrace,
-	// WriteTimeline, WritePrometheus, and WriteMetricsJSON methods. A nil
-	// Telemetry disables observation at zero cost.
+	// RecoveryMatrix.AddSupervised) and export with its WriteTrace,
+	// WriteTimeline, and WritePrometheus methods. A nil Telemetry disables
+	// observation at zero cost.
 	Telemetry = experiment.Telemetry
 	// FaultEpisode is one recorded fault-handling episode: everything that
 	// happened to one failing operation between its first observed failure
@@ -280,7 +280,7 @@ type RecoveryMatrix = experiment.Matrix
 
 // RunRecoveryMatrix runs every corpus fault under every recovery strategy.
 func RunRecoveryMatrix(policy RecoveryPolicy, seed int64) (*RecoveryMatrix, error) {
-	return experiment.RunMatrix(policy, seed)
+	return experiment.RunMatrix(policy, seed, 1)
 }
 
 // RunRecoveryMatrixWorkers is RunRecoveryMatrix sharded fault-by-fault over
@@ -288,7 +288,7 @@ func RunRecoveryMatrix(policy RecoveryPolicy, seed int64) (*RecoveryMatrix, erro
 // byte-identical at every worker count; see internal/parallel for the
 // determinism contract.
 func RunRecoveryMatrixWorkers(policy RecoveryPolicy, seed int64, workers int) (*RecoveryMatrix, error) {
-	return experiment.RunMatrixWorkers(policy, seed, workers)
+	return experiment.RunMatrix(policy, seed, workers)
 }
 
 // TableResult is one regenerated classification table.

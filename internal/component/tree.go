@@ -131,16 +131,6 @@ func (t *Tree) StopAll() {
 	}
 }
 
-// KillAll crash-stops every component in reverse dependency order — the
-// whole-process crash, for the recovery arms that model it.
-func (t *Tree) KillAll() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := len(t.order) - 1; i >= 0; i-- {
-		t.nodes[t.order[i]].spec.Component.Kill()
-	}
-}
-
 // Running reports whether the named component is up; unknown names are not
 // running.
 func (t *Tree) Running(name string) bool {

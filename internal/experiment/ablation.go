@@ -36,27 +36,19 @@ func RunRetryAblation(trials int, seed int64) (*RetryAblation, error) {
 		}
 		for trial := 0; trial < trials; trial++ {
 			trialSeed := seed + int64(trial)*1000
-			for _, strat := range []recovery.Strategy{recovery.StrategyProcessPairs, recovery.StrategyProgressiveRetry} {
+			for _, arm := range []struct {
+				strat recovery.Strategy
+				p     *stats.Proportion
+			}{{recovery.StrategyProcessPairs, &ab.Plain}, {recovery.StrategyProgressiveRetry, &ab.Progressive}} {
 				app, sc, err := BuildScenario(f.Mechanism, trialSeed)
 				if err != nil {
 					return nil, err
 				}
-				out, err := mgr.Run(app, sc, strat)
+				out, err := mgr.Run(app, sc, arm.strat)
 				if err != nil {
 					return nil, fmt.Errorf("experiment: retry ablation %s: %w", f.ID, err)
 				}
-				switch strat {
-				case recovery.StrategyProcessPairs:
-					ab.Plain.N++
-					if out.Survived {
-						ab.Plain.Hits++
-					}
-				case recovery.StrategyProgressiveRetry:
-					ab.Progressive.N++
-					if out.Survived {
-						ab.Progressive.Hits++
-					}
-				}
+				arm.p.Add(out.Survived)
 			}
 		}
 	}
@@ -118,10 +110,7 @@ func RunRejuvenationAblation(intervals []int, seed int64) (*RejuvenationAblation
 				}
 				survived = out.Survived
 			}
-			p.N++
-			if survived {
-				p.Hits++
-			}
+			p.Add(survived)
 		}
 		ab.Intervals[interval] = p
 	}
@@ -225,17 +214,11 @@ func RunReclaimAblation(seed int64) (*ReclaimAblation, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiment: reclaim ablation %s: %w", f.ID, err)
 			}
+			p := &ab.WithoutReclaim
 			if withReclaim {
-				ab.WithReclaim.N++
-				if out.Survived {
-					ab.WithReclaim.Hits++
-				}
-			} else {
-				ab.WithoutReclaim.N++
-				if out.Survived {
-					ab.WithoutReclaim.Hits++
-				}
+				p = &ab.WithReclaim
 			}
+			p.Add(out.Survived)
 		}
 	}
 	return ab, nil
@@ -285,10 +268,7 @@ func RunMitigationAblation(seed int64) (*MitigationAblation, error) {
 					ab.Rescued = append(ab.Rescued, f.ID)
 				}
 			} else {
-				ab.Plain.N++
-				if out.Survived {
-					ab.Plain.Hits++
-				}
+				ab.Plain.Add(out.Survived)
 			}
 		}
 	}

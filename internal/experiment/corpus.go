@@ -7,10 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"faultstudy/internal/apps/cache"
-	"faultstudy/internal/apps/desktop"
-	"faultstudy/internal/apps/httpd"
-	"faultstudy/internal/apps/sqldb"
 	"faultstudy/internal/classify"
 	"faultstudy/internal/corpus"
 	"faultstudy/internal/corpusgen"
@@ -19,7 +15,6 @@ import (
 	"faultstudy/internal/parallel"
 	"faultstudy/internal/recovery"
 	"faultstudy/internal/scrape"
-	"faultstudy/internal/simenv"
 	"faultstudy/internal/stats"
 	"faultstudy/internal/supervise"
 	"faultstudy/internal/taxonomy"
@@ -219,64 +214,73 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 		MinSitePages: cfg.MinSitePages,
 	}
 
+	byClass := make(map[taxonomy.FaultClass]*CorpusClassStat, 3)
+	for _, class := range taxonomy.Classes() {
+		byClass[class] = &CorpusClassStat{Class: class}
+	}
+	notLost := func(p *stats.Proportion, degraded *int, v SupervisorVerdict) {
+		p.Add(v != VerdictLost)
+		if v == VerdictDegraded {
+			*degraded++
+		}
+	}
+
 	// Phase 1: every generated fault through the classifier and the ladder.
-	type faultOut struct {
+	verdicts := make([]SupervisorVerdict, 0, len(faults))
+	type generatedRun struct {
 		agree   bool
 		verdict SupervisorVerdict
-		tel     *Telemetry
 	}
-	fouts, err := parallel.MapOrdered(cfg.Workers, len(faults), func(i int) (faultOut, error) {
+	err = sweep(cfg.Workers, len(faults), cfg.Telemetry, func(i int, tel *Telemetry) (generatedRun, error) {
 		f := faults[i]
-		res := classify.New(classifyDefaults()).Classify(f.Report())
-		out := faultOut{agree: res.Class == f.Class}
-		if cfg.Telemetry != nil {
-			out.tel = NewTelemetry()
-		}
+		agree := classify.New(classifyDefaults()).Classify(f.Report()).Class == f.Class
 		seed := parallel.Derive(cfg.Seed, corpusLadderSalt+uint64(i))
-		verdict, err := runCorpusLadder(cfg.Supervise, out.tel, obsv.Context{
+		verdict, err := runCorpusLadder(cfg.Supervise, tel, obsv.Context{
 			App: f.App.String(), FaultID: f.ID, Class: f.Class.Short(),
 		}, seed, f.Mechanism, "", "", 0)
 		if err != nil {
-			return out, fmt.Errorf("experiment: corpus fault %s (%s): %w", f.ID, f.Mechanism, err)
+			return generatedRun{}, fmt.Errorf("experiment: corpus fault %s (%s): %w", f.ID, f.Mechanism, err)
 		}
-		out.verdict = verdict
-		if out.tel != nil {
-			out.tel.Registry.Counter(MetricCorpusFaults,
+		if tel != nil {
+			tel.Registry.Counter(MetricCorpusFaults,
 				obsv.L("app", f.App.String(), "class", f.Class.Short(), "verdict", verdict.String())...).Inc()
-			out.tel.Registry.Counter(MetricCorpusClassified,
-				obsv.L("class", f.Class.Short(), "agree", fmt.Sprint(out.agree))...).Inc()
+			tel.Registry.Counter(MetricCorpusClassified,
+				obsv.L("class", f.Class.Short(), "agree", fmt.Sprint(agree))...).Inc()
 		}
-		return out, nil
+		return generatedRun{agree: agree, verdict: verdict}, nil
+	}, func(i int, o generatedRun) {
+		st := byClass[faults[i].Class]
+		st.Agreement.Add(o.agree)
+		notLost(&st.NotLost, &st.Degraded, o.verdict)
+		verdicts = append(verdicts, o.verdict)
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	// Phase 2: every two-fault episode through the ladder.
-	type episodeOut struct {
-		verdict SupervisorVerdict
-		tel     *Telemetry
+	byOverlap := map[string]*CorpusEpisodeStat{
+		"concurrent": {Overlap: "concurrent"},
+		"cascade":    {Overlap: "cascade"},
 	}
-	eouts, err := parallel.MapOrdered(cfg.Workers, len(episodes), func(j int) (episodeOut, error) {
+	err = sweep(cfg.Workers, len(episodes), cfg.Telemetry, func(j int, tel *Telemetry) (SupervisorVerdict, error) {
 		e := episodes[j]
 		pf := faults[e.Primary]
-		var out episodeOut
-		if cfg.Telemetry != nil {
-			out.tel = NewTelemetry()
-		}
 		seed := parallel.Derive(cfg.Seed, corpusEpisodeSalt+uint64(j))
-		verdict, err := runCorpusLadder(cfg.Supervise, out.tel, obsv.Context{
+		verdict, err := runCorpusLadder(cfg.Supervise, tel, obsv.Context{
 			App: pf.App.String(), FaultID: fmt.Sprintf("gen/ep-%05d", j), Class: pf.Class.Short(),
 		}, seed, pf.Mechanism, e.Secondary, e.Overlap, e.Gap)
 		if err != nil {
-			return out, fmt.Errorf("experiment: corpus episode %d (%s + %s): %w", j, pf.Mechanism, e.Secondary, err)
+			return VerdictNone, fmt.Errorf("experiment: corpus episode %d (%s + %s): %w", j, pf.Mechanism, e.Secondary, err)
 		}
-		out.verdict = verdict
-		if out.tel != nil {
-			out.tel.Registry.Counter(MetricCorpusEpisodes,
+		if tel != nil {
+			tel.Registry.Counter(MetricCorpusEpisodes,
 				obsv.L("overlap", e.Overlap, "verdict", verdict.String())...).Inc()
 		}
-		return out, nil
+		return verdict, nil
+	}, func(j int, v SupervisorVerdict) {
+		st := byOverlap[episodes[j].Overlap]
+		notLost(&st.NotLost, &st.Degraded, v)
 	})
 	if err != nil {
 		return nil, err
@@ -285,7 +289,9 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 	// Phase 3: the curated 139 through the identical ladder — the baseline
 	// the generated population's recovery rates are gated against.
 	curated := corpus.All()
-	bouts, err := parallel.MapOrdered(cfg.Workers, len(curated), func(i int) (SupervisorVerdict, error) {
+	type mechTally struct{ hits, n int }
+	mechRate := make(map[string]*mechTally)
+	err = sweep(cfg.Workers, len(curated), nil, func(i int, _ *Telemetry) (SupervisorVerdict, error) {
 		f := curated[i]
 		seed := parallel.Derive(cfg.Seed, corpusBaselineSalt+uint64(i))
 		verdict, err := runCorpusLadder(cfg.Supervise, nil, obsv.Context{}, seed, f.Mechanism, "", "", 0)
@@ -293,35 +299,8 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 			return VerdictNone, fmt.Errorf("experiment: corpus baseline %s: %w", f.ID, err)
 		}
 		return verdict, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Reduce in population order.
-	byClass := make(map[taxonomy.FaultClass]*CorpusClassStat, 3)
-	for _, class := range taxonomy.Classes() {
-		byClass[class] = &CorpusClassStat{Class: class}
-	}
-	tels := make([]*Telemetry, 0, len(fouts)+len(eouts))
-	for i, o := range fouts {
-		st := byClass[faults[i].Class]
-		st.Agreement.N++
-		if o.agree {
-			st.Agreement.Hits++
-		}
-		st.NotLost.N++
-		if o.verdict != VerdictLost {
-			st.NotLost.Hits++
-			if o.verdict == VerdictDegraded {
-				st.Degraded++
-			}
-		}
-		tels = append(tels, o.tel)
-	}
-	type mechTally struct{ hits, n int }
-	mechRate := make(map[string]*mechTally)
-	for i, f := range curated {
+	}, func(i int, v SupervisorVerdict) {
+		f := curated[i]
 		st := byClass[f.Class]
 		st.Curated.N++
 		mt := mechRate[f.Mechanism]
@@ -330,25 +309,26 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 			mechRate[f.Mechanism] = mt
 		}
 		mt.n++
-		if bouts[i] != VerdictLost {
+		if v != VerdictLost {
 			st.Curated.Hits++
 			mt.hits++
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
+
 	// The drift baseline: curated per-mechanism rates under the generated
 	// population's mechanism mix, over the covered runs only.
 	wsum := make(map[taxonomy.FaultClass]float64, 3)
-	for i, o := range fouts {
+	for i, v := range verdicts {
 		f := faults[i]
 		mt := mechRate[f.Mechanism]
 		if mt == nil {
 			continue
 		}
 		st := byClass[f.Class]
-		st.Covered.N++
-		if o.verdict != VerdictLost {
-			st.Covered.Hits++
-		}
+		st.Covered.Add(v != VerdictLost)
 		wsum[f.Class] += float64(mt.hits) / float64(mt.n)
 	}
 	for class, st := range byClass {
@@ -356,29 +336,11 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 			st.BaselineRate = wsum[class] / float64(st.Covered.N)
 		}
 	}
-	byOverlap := map[string]*CorpusEpisodeStat{
-		"concurrent": {Overlap: "concurrent"},
-		"cascade":    {Overlap: "cascade"},
-	}
-	for j, o := range eouts {
-		st := byOverlap[episodes[j].Overlap]
-		st.NotLost.N++
-		if o.verdict != VerdictLost {
-			st.NotLost.Hits++
-			if o.verdict == VerdictDegraded {
-				st.Degraded++
-			}
-		}
-		tels = append(tels, o.tel)
-	}
 	for _, class := range taxonomy.Classes() {
 		rep.Classes = append(rep.Classes, *byClass[class])
 	}
 	rep.EpisodeStats = []CorpusEpisodeStat{*byOverlap["concurrent"], *byOverlap["cascade"]}
 	rep.GOF = gen.GoodnessOfFit(faults, episodes)
-	if err := cfg.Telemetry.Merge(tels...); err != nil {
-		return nil, err
-	}
 
 	// Phase 4: emit the population as a synthetic PR site and crawl a
 	// bounded sample through the real crawler.
@@ -431,7 +393,7 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 // stage, supervise, flush, grade.
 func runCorpusLadder(sup supervise.Config, tel *Telemetry, ctx obsv.Context, seed int64,
 	primary, secondary, overlap string, gap time.Duration) (SupervisorVerdict, error) {
-	app, stage, ops, err := buildCorpusRun(primary, secondary, overlap, gap, seed)
+	k, app, stage, ops, err := buildCorpusRun(primary, secondary, overlap, gap, seed)
 	if err != nil {
 		return VerdictNone, err
 	}
@@ -439,12 +401,8 @@ func runCorpusLadder(sup supervise.Config, tel *Telemetry, ctx obsv.Context, see
 		return VerdictNone, fmt.Errorf("start: %w", err)
 	}
 	stage()
-	runCfg := sup
-	var obs *obsv.Observer
-	if tel != nil {
-		runCfg, obs = tel.superviseConfig(sup, ctx)
-	}
-	repo, err := supervise.New(app, runCfg).Run(wrapScenarioOps(primary, ops))
+	runCfg, obs := tel.superviseConfig(sup, ctx)
+	repo, err := supervise.New(app, runCfg).Run(k.wrapOps(ops))
 	if err != nil {
 		return VerdictNone, err
 	}
@@ -454,32 +412,42 @@ func runCorpusLadder(sup supervise.Config, tel *Telemetry, ctx obsv.Context, see
 
 // buildCorpusRun constructs the application, the post-start staging hook,
 // and the op stream for one run. A single fault is its scenario. A two-fault
-// episode activates both mechanisms in one application instance: concurrent
-// episodes stage both conditions after start and interleave the trigger ops;
-// cascade episodes stage and trigger the secondary only after the gap has
-// passed mid-stream.
-func buildCorpusRun(primary, secondary, overlap string, gap time.Duration, seed int64) (recovery.Application, func(), []faultinject.Op, error) {
+// episode activates both mechanisms in one application instance — both
+// must share a namespace: episodes strike one application, not two.
+// Concurrent episodes stage both conditions after start and interleave the
+// trigger ops; cascade episodes stage and trigger the secondary only after
+// the gap has passed mid-stream.
+func buildCorpusRun(primary, secondary, overlap string, gap time.Duration, seed int64) (*appKind, recovery.Application, func(), []faultinject.Op, error) {
 	stageOf := func(sc faultinject.Scenario) func() {
 		if sc.Stage == nil {
 			return func() {}
 		}
 		return sc.Stage
 	}
-	if secondary == "" {
-		app, sc, err := BuildScenario(primary, seed)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return app, stageOf(sc), sc.Ops, nil
-	}
-	app, scA, scB, err := buildDuet(primary, secondary, seed)
+	k, err := appFor(primary)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
+	}
+	if secondary == "" {
+		app, sc, err := k.scenario(primary, seed)
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		return k, app, stageOf(sc), sc.Ops, nil
+	}
+	if !strings.HasPrefix(secondary, k.ns+"/") {
+		return nil, nil, nil, nil, fmt.Errorf("experiment: episode mechanisms %q and %q span applications", primary, secondary)
+	}
+	app, scenarios := k.instance(seed, nil, primary, secondary)
+	scA, okA := scenarios[primary]
+	scB, okB := scenarios[secondary]
+	if !okA || !okB {
+		return nil, nil, nil, nil, fmt.Errorf("experiment: missing scenario for %q or %q", primary, secondary)
 	}
 	switch overlap {
 	case "concurrent":
 		stage := func() { stageOf(scA)(); stageOf(scB)() }
-		return app, stage, interleaveOps(scA.Ops, scB.Ops), nil
+		return k, app, stage, interleaveOps(scA.Ops, scB.Ops), nil
 	default: // cascade
 		env := app.Env()
 		bridge := faultinject.Op{Name: "episode-gap", Do: func() error {
@@ -491,7 +459,7 @@ func buildCorpusRun(primary, secondary, overlap string, gap time.Duration, seed 
 		ops = append(ops, scA.Ops...)
 		ops = append(ops, bridge)
 		ops = append(ops, scB.Ops...)
-		return app, stageOf(scA), ops, nil
+		return k, app, stageOf(scA), ops, nil
 	}
 }
 
@@ -507,46 +475,6 @@ func interleaveOps(a, b []faultinject.Op) []faultinject.Op {
 		}
 	}
 	return out
-}
-
-// buildDuet constructs one application instance with two mechanisms active
-// and both scenarios bound to it. Both mechanisms must share a namespace:
-// episodes strike one application, not two.
-func buildDuet(primary, secondary string, seed int64) (recovery.Application, faultinject.Scenario, faultinject.Scenario, error) {
-	var zero faultinject.Scenario
-	ns := primary[:strings.IndexByte(primary, '/')+1]
-	if !strings.HasPrefix(secondary, ns) {
-		return nil, zero, zero, fmt.Errorf("experiment: episode mechanisms %q and %q span applications", primary, secondary)
-	}
-	set := faultinject.NewSet(primary, secondary)
-	var app recovery.Application
-	var scenarios map[string]faultinject.Scenario
-	switch ns {
-	case "httpd/":
-		env := simenv.New(seed, simenv.WithFDLimit(64), simenv.WithProcLimit(192))
-		srv := httpd.New(env, set, httpd.Config{})
-		app, scenarios = srv, httpd.Scenarios(srv)
-	case "sqldb/":
-		env := simenv.New(seed, simenv.WithFDLimit(64))
-		db := sqldb.New(env, set)
-		app, scenarios = db, sqldb.Scenarios(db)
-	case "desktop/":
-		env := simenv.New(seed)
-		d := desktop.New(env, set)
-		app, scenarios = d, desktop.Scenarios(d)
-	case "cache/":
-		env := simenv.New(seed, simenv.WithFDLimit(64))
-		srv := cache.New(env, set, cache.Config{Capacity: 16})
-		app, scenarios = srv, cache.Scenarios(srv)
-	default:
-		return nil, zero, zero, fmt.Errorf("experiment: unknown mechanism namespace %q", primary)
-	}
-	scA, okA := scenarios[primary]
-	scB, okB := scenarios[secondary]
-	if !okA || !okB {
-		return nil, zero, zero, fmt.Errorf("experiment: missing scenario for %q or %q", primary, secondary)
-	}
-	return app, scA, scB, nil
 }
 
 // Check asserts the experiment's gates: every sampler fits its declared

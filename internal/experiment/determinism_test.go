@@ -81,13 +81,13 @@ func TestSoakDeterminismProperty(t *testing.T) {
 func supervisedFingerprint(t *testing.T, seed int64, workers int) []byte {
 	t.Helper()
 	tel := NewTelemetry()
-	m, err := RunMatrixWorkers(recovery.Policy{}, seed, workers)
+	m, err := RunMatrix(recovery.Policy{}, seed, workers)
 	if err != nil {
-		t.Fatalf("RunMatrixWorkers(seed=%d, workers=%d): %v", seed, workers, err)
+		t.Fatalf("RunMatrix(seed=%d, workers=%d): %v", seed, workers, err)
 	}
 	cfg := supervise.Config{GrowResources: true}
-	if err := m.AddSupervisedWorkers(seed, cfg, tel, workers); err != nil {
-		t.Fatalf("AddSupervisedWorkers(seed=%d, workers=%d): %v", seed, workers, err)
+	if err := m.AddSupervised(seed, cfg, tel, workers); err != nil {
+		t.Fatalf("AddSupervised(seed=%d, workers=%d): %v", seed, workers, err)
 	}
 	return fingerprint(t, tel, m.String())
 }
@@ -123,9 +123,9 @@ func TestLintDeterminism(t *testing.T) {
 	}
 	var want string
 	for _, w := range workerArms {
-		rep, err := RunLintWorkers(root, w)
+		rep, err := RunLint(root, w)
 		if err != nil {
-			t.Fatalf("RunLintWorkers(workers=%d): %v", w, err)
+			t.Fatalf("RunLint(workers=%d): %v", w, err)
 		}
 		got := rep.String()
 		if w == workerArms[0] {

@@ -144,7 +144,7 @@ func (a DurableArm) MTTR() time.Duration {
 type DurableReport struct {
 	// Seed is the experiment's root seed.
 	Seed int64
-	// Arms holds every fault-condition cell, in durableArmNames order.
+	// Arms holds every fault-condition cell, in durableArms order.
 	Arms []DurableArm
 	// Halted is true when HaltAfter stopped the sweep early; the report then
 	// carries no arms and gates nothing — resume to finish.
@@ -153,22 +153,25 @@ type DurableReport struct {
 	Done, Total int
 }
 
-// durableArmNames is the fixed arm axis, in report order.
-func durableArmNames() []string {
-	return []string{
-		"none",
-		"crash-drop",
-		"crash-tear",
-		"disk-full",
-		"fd-exhaustion",
-		"file-limit",
-		"short-write",
-		"sync-fail",
-		"torn-write",
-		"crash-before-rename",
-		"app-sqldb-restore",
-		"app-cache-reboot",
-	}
+// durableArms is the fixed arm axis, in report order: each arm's fault
+// condition and how to run it from its derived seed. Everything an arm does
+// is a pure function of (name, seed); it shares no state with other arms.
+var durableArms = []struct {
+	name string
+	run  func(name string, seed int64) (DurableArm, error)
+}{
+	{"none", runDurableBaselineArm},
+	{"crash-drop", func(name string, seed int64) (DurableArm, error) { return runDurableCrashArm(name, seed, 0) }},
+	{"crash-tear", func(name string, seed int64) (DurableArm, error) { return runDurableCrashArm(name, seed, 3) }},
+	{"disk-full", runDurableDiskFullArm},
+	{"fd-exhaustion", runDurableFDArm},
+	{"file-limit", runDurableFileLimitArm},
+	{"short-write", func(name string, seed int64) (DurableArm, error) { return runDurableWriteFaultArm(name, seed, "short") }},
+	{"sync-fail", func(name string, seed int64) (DurableArm, error) { return runDurableWriteFaultArm(name, seed, "sync") }},
+	{"torn-write", runDurableTornArm},
+	{"crash-before-rename", runDurableRenameArm},
+	{"app-sqldb-restore", runDurableSQLArm},
+	{"app-cache-reboot", runDurableCacheArm},
 }
 
 // durableArmKey is an arm's record key in the warehouse.
@@ -192,7 +195,7 @@ func durableArmKey(idx int, name string) string {
 // worker count, and identical whether the sweep ran uninterrupted or was
 // killed and resumed from the warehouse.
 func RunDurable(cfg DurableConfig) (*DurableReport, error) {
-	names := durableArmNames()
+	n := len(durableArms)
 	var wh *warehouse.Warehouse
 	if cfg.Warehouse != "" {
 		if !cfg.Resume {
@@ -211,107 +214,107 @@ func RunDurable(cfg DurableConfig) (*DurableReport, error) {
 	}
 	done := make(map[int]DurableArm)
 	if wh != nil && cfg.Resume {
-		for i, name := range names {
-			raw, ok := wh.Get(durableArmKey(i, name))
+		for i, a := range durableArms {
+			raw, ok := wh.Get(durableArmKey(i, a.name))
 			if !ok {
 				continue
 			}
 			var arm DurableArm
 			if err := json.Unmarshal(raw, &arm); err != nil {
-				return nil, fmt.Errorf("experiment: durable: warehouse arm %s: %w", name, err)
+				return nil, fmt.Errorf("experiment: durable: warehouse arm %s: %w", a.name, err)
 			}
 			done[i] = arm
 		}
 	}
-	finish := func(i int) (DurableArm, error) {
-		arm, err := runDurableArm(names[i], parallel.Derive(cfg.Seed, uint64(i)))
-		if err != nil {
+	ran := 0 // missing arms run, for HaltAfter
+	runArm := func(i int, _ *Telemetry) (DurableArm, error) {
+		if arm, ok := done[i]; ok {
+			return arm, nil
+		}
+		if cfg.HaltAfter > 0 {
+			if ran == cfg.HaltAfter {
+				return DurableArm{}, errDurableHalt
+			}
+			ran++
+		}
+		arm, err := durableArms[i].run(durableArms[i].name, parallel.Derive(cfg.Seed, uint64(i)))
+		if err != nil || wh == nil {
 			return arm, err
 		}
-		if wh != nil {
-			raw, err := json.Marshal(arm)
-			if err != nil {
-				return arm, fmt.Errorf("experiment: durable: encode arm %s: %w", arm.Name, err)
-			}
-			if err := wh.Put(durableArmKey(i, arm.Name), raw); err != nil {
-				return arm, fmt.Errorf("experiment: durable: %w", err)
-			}
+		raw, err := json.Marshal(arm)
+		if err != nil {
+			return arm, fmt.Errorf("experiment: durable: encode arm %s: %w", arm.Name, err)
+		}
+		if err := wh.Put(durableArmKey(i, arm.Name), raw); err != nil {
+			return arm, fmt.Errorf("experiment: durable: %w", err)
 		}
 		return arm, nil
 	}
 	if cfg.HaltAfter > 0 {
-		ran := 0
-		for i := range names {
-			if _, ok := done[i]; ok {
-				continue
-			}
-			if ran == cfg.HaltAfter {
-				break
-			}
-			arm, err := finish(i)
-			if err != nil {
-				return nil, err
-			}
-			done[i] = arm
-			ran++
+		// The halt runs serially so "the first HaltAfter missing arms" is
+		// well defined; it derives no report and no telemetry.
+		if err := sweep(1, n, nil, runArm, nil); err != nil && !errors.Is(err, errDurableHalt) {
+			return nil, err
 		}
-		return &DurableReport{Seed: cfg.Seed, Halted: true, Done: len(done), Total: len(names)}, nil
+		return &DurableReport{Seed: cfg.Seed, Halted: true, Done: len(done) + ran, Total: n}, nil
 	}
-	arms, err := parallel.MapOrdered(cfg.Workers, len(names), func(i int) (DurableArm, error) {
-		if arm, ok := done[i]; ok {
-			return arm, nil
-		}
-		return finish(i)
+	// Traces and metrics are derived from the finished arm records in fixed
+	// arm order — rather than recorded during the sweep — which is what makes
+	// them invariant under worker count and resume.
+	tel := cfg.Telemetry
+	if tel != nil {
+		obsv.RegisterBridgeHelp(tel.Registry)
+		tel.Registry.Help(MetricDurableEpisodes, "Durable-store fault episodes, by arm, class and outcome.")
+		tel.Registry.Help(MetricDurableAckedLost, "Acknowledged records silently missing after recovery.")
+		tel.Registry.Help(MetricDurableDetectedLoss, "Acknowledged records lost to detected, reported damage.")
+		tel.Registry.Help(MetricDurableRepairs, "Tail truncations performed over damaged log bytes.")
+		tel.Registry.Help(MetricDurableMTTRSeconds, "Per-episode store repair time: detection to recovered and writable.")
+	}
+	rep := &DurableReport{Seed: cfg.Seed, Arms: make([]DurableArm, 0, n)}
+	err := sweep(cfg.Workers, n, nil, runArm, func(_ int, a DurableArm) {
+		rep.Arms = append(rep.Arms, a)
+		observeDurableArm(tel, a)
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep := &DurableReport{Seed: cfg.Seed, Arms: arms}
-	deriveDurableTelemetry(cfg.Telemetry, arms)
 	return rep, nil
 }
 
-// deriveDurableTelemetry replays the finished arm records into the
-// experiment's telemetry, in fixed arm order. Deriving after the sweep —
-// rather than recording during it — is what makes traces and metrics
-// invariant under worker count and resume.
-func deriveDurableTelemetry(tel *Telemetry, arms []DurableArm) {
+// errDurableHalt stops a HaltAfter sweep once its quota of arms has run.
+var errDurableHalt = errors.New("experiment: durable: halted")
+
+// observeDurableArm replays one finished arm record into the experiment's
+// telemetry (a nil telemetry records nothing).
+func observeDurableArm(tel *Telemetry, a DurableArm) {
 	if tel == nil {
 		return
 	}
-	obsv.RegisterBridgeHelp(tel.Registry)
-	tel.Registry.Help(MetricDurableEpisodes, "Durable-store fault episodes, by arm, class and outcome.")
-	tel.Registry.Help(MetricDurableAckedLost, "Acknowledged records silently missing after recovery.")
-	tel.Registry.Help(MetricDurableDetectedLoss, "Acknowledged records lost to detected, reported damage.")
-	tel.Registry.Help(MetricDurableRepairs, "Tail truncations performed over damaged log bytes.")
-	tel.Registry.Help(MetricDurableMTTRSeconds, "Per-episode store repair time: detection to recovered and writable.")
-	for _, a := range arms {
-		mech := "durable/" + a.Name
-		tel.Recorder.SetContext(obsv.Context{App: "durable", FaultID: mech, Class: a.Class})
-		labels := obsv.L("arm", a.Name, "class", a.Class)
-		for _, ep := range a.Eps {
-			tel.Recorder.Begin(ep.Start, ep.Op, mech)
-			tel.Recorder.Note(ep.Start, obsv.Span{Kind: obsv.SpanActivation, Note: ep.Note})
-			outcome := obsv.OutcomeLost
-			if ep.Recovered {
-				outcome = obsv.OutcomeRecovered
-				tel.Registry.Histogram(MetricDurableMTTRSeconds, obsv.LatencyBuckets, labels...).
-					ObserveDuration(ep.End - ep.Start)
-			}
-			tel.Recorder.Note(ep.End, obsv.Span{Kind: obsv.SpanAction, Rung: "reopen", Attempt: 1, Outcome: outcome})
-			tel.Recorder.End(ep.End, outcome, "reopen")
-			tel.Registry.Counter(MetricDurableEpisodes,
-				obsv.L("arm", a.Name, "class", a.Class, "outcome", outcome)...).Inc()
+	mech := "durable/" + a.Name
+	tel.Recorder.SetContext(obsv.Context{App: "durable", FaultID: mech, Class: a.Class})
+	labels := obsv.L("arm", a.Name, "class", a.Class)
+	for _, ep := range a.Eps {
+		tel.Recorder.Begin(ep.Start, ep.Op, mech)
+		tel.Recorder.Note(ep.Start, obsv.Span{Kind: obsv.SpanActivation, Note: ep.Note})
+		outcome := obsv.OutcomeLost
+		if ep.Recovered {
+			outcome = obsv.OutcomeRecovered
+			tel.Registry.Histogram(MetricDurableMTTRSeconds, obsv.LatencyBuckets, labels...).
+				ObserveDuration(ep.End - ep.Start)
 		}
-		if a.SilentLoss > 0 {
-			tel.Registry.Counter(MetricDurableAckedLost, labels...).Add(float64(a.SilentLoss))
-		}
-		if a.DetectedLoss > 0 {
-			tel.Registry.Counter(MetricDurableDetectedLoss, labels...).Add(float64(a.DetectedLoss))
-		}
-		if a.Repairs > 0 {
-			tel.Registry.Counter(MetricDurableRepairs, labels...).Add(float64(a.Repairs))
-		}
+		tel.Recorder.Note(ep.End, obsv.Span{Kind: obsv.SpanAction, Rung: "reopen", Attempt: 1, Outcome: outcome})
+		tel.Recorder.End(ep.End, outcome, "reopen")
+		tel.Registry.Counter(MetricDurableEpisodes,
+			obsv.L("arm", a.Name, "class", a.Class, "outcome", outcome)...).Inc()
+	}
+	if a.SilentLoss > 0 {
+		tel.Registry.Counter(MetricDurableAckedLost, labels...).Add(float64(a.SilentLoss))
+	}
+	if a.DetectedLoss > 0 {
+		tel.Registry.Counter(MetricDurableDetectedLoss, labels...).Add(float64(a.DetectedLoss))
+	}
+	if a.Repairs > 0 {
+		tel.Registry.Counter(MetricDurableRepairs, labels...).Add(float64(a.Repairs))
 	}
 }
 
@@ -372,37 +375,60 @@ func durableStateEqual(st *durable.Store, want map[string][]byte) bool {
 	return true
 }
 
-// runDurableArm dispatches one arm by name. Everything it does is a pure
-// function of (name, seed); it shares no state with other arms.
-func runDurableArm(name string, seed int64) (DurableArm, error) {
-	switch name {
-	case "none":
-		return runDurableBaselineArm(name, seed)
-	case "crash-drop":
-		return runDurableCrashArm(name, seed, 0)
-	case "crash-tear":
-		return runDurableCrashArm(name, seed, 3)
-	case "disk-full":
-		return runDurableDiskFullArm(name, seed)
-	case "fd-exhaustion":
-		return runDurableFDArm(name, seed)
-	case "file-limit":
-		return runDurableFileLimitArm(name, seed)
-	case "short-write":
-		return runDurableWriteFaultArm(name, seed, "short")
-	case "sync-fail":
-		return runDurableWriteFaultArm(name, seed, "sync")
-	case "torn-write":
-		return runDurableTornArm(name, seed)
-	case "crash-before-rename":
-		return runDurableRenameArm(name, seed)
-	case "app-sqldb-restore":
-		return runDurableSQLArm(name, seed)
-	case "app-cache-reboot":
-		return runDurableCacheArm(name, seed)
-	default:
-		return DurableArm{Name: name}, fmt.Errorf("experiment: durable: unknown arm %q", name)
+// applyAll applies batches in order, stopping at the first error.
+func applyAll(st *durable.Store, batches [][]durable.Op) error {
+	for _, b := range batches {
+		if err := st.Apply(b); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// openApplied opens the arm's store on env and applies batches to it.
+func openApplied(name string, env *simenv.Env, opts durable.Options, batches [][]durable.Op) (*durable.Store, error) {
+	st, _, err := durable.Open(env, durableOwner, durableDir, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := applyAll(st, batches); err != nil {
+		return nil, fmt.Errorf("experiment: durable %s: %w", name, err)
+	}
+	return st, nil
+}
+
+// record closes an episode that never reached a verdict at the current
+// virtual time and appends it to the arm.
+func (a *DurableArm) record(ep DurableEpisode, env *simenv.Env) {
+	ep.End = env.Monotonic()
+	a.Eps = append(a.Eps, ep)
+}
+
+// settle closes an episode that reached a verdict through recovery: it
+// accrues the repair time and, when recovered, counts the recovery.
+func (a *DurableArm) settle(ep DurableEpisode, env *simenv.Env, recovered bool) {
+	if recovered {
+		ep.Recovered = true
+		a.RecoveredEpisodes++
+	}
+	ep.End = env.Monotonic()
+	a.MTTRTotal += ep.End - ep.Start
+	a.Eps = append(a.Eps, ep)
+}
+
+// settleWorkload settles an environmental-fault episode after the rest of
+// the workload ran (ok) or stopped at a failed append: every record counts
+// as acknowledged, and a finished workload must match the full model.
+func (a *DurableArm) settleWorkload(ep DurableEpisode, env *simenv.Env, st *durable.Store, batches [][]durable.Op, ok bool) {
+	a.Acked += len(batches)
+	recovered := ok && durableStateEqual(st, durableModelAt(batches, uint64(len(batches))))
+	switch {
+	case recovered:
+		a.Recovered += len(batches)
+	case ok:
+		a.UndetectedCorruption++
+	}
+	a.settle(ep, env, recovered)
 }
 
 // verifyReopen closes the damaged store handle, replaces the process on the
@@ -423,8 +449,7 @@ func verifyReopen(arm *DurableArm, env *simenv.Env, old *durable.Store, opts dur
 	arm.Acked += acked
 	st, info, err := durable.Open(env, durableOwner, durableDir, opts)
 	if err != nil {
-		ep.End = env.Monotonic()
-		arm.Eps = append(arm.Eps, ep)
+		arm.record(ep, env)
 		return
 	}
 	defer st.Close()
@@ -438,8 +463,7 @@ func verifyReopen(arm *DurableArm, env *simenv.Env, old *durable.Store, opts dur
 		recovered = acked
 	}
 	arm.Recovered += recovered
-	switch {
-	case seq < uint64(acked):
+	if seq < uint64(acked) {
 		// Acknowledged records are missing. Reported damage makes it
 		// detected loss (tolerable only where the device lied); silence is
 		// the loss class the experiment exists to rule out.
@@ -448,36 +472,18 @@ func verifyReopen(arm *DurableArm, env *simenv.Env, old *durable.Store, opts dur
 		} else {
 			arm.SilentLoss += acked - int(seq)
 		}
-		if !durableStateEqual(st, durableModelAt(batches, seq)) {
-			arm.UndetectedCorruption++
-			ep.End = env.Monotonic()
-			arm.Eps = append(arm.Eps, ep)
-			return
-		}
-	case seq > maxSeq:
+	}
+	if seq > maxSeq || !durableStateEqual(st, durableModelAt(batches, seq)) {
 		arm.UndetectedCorruption++
-		ep.End = env.Monotonic()
-		arm.Eps = append(arm.Eps, ep)
+		arm.record(ep, env)
 		return
-	default:
-		if !durableStateEqual(st, durableModelAt(batches, seq)) {
-			arm.UndetectedCorruption++
-			ep.End = env.Monotonic()
-			arm.Eps = append(arm.Eps, ep)
-			return
-		}
 	}
 	// Recovery must hand back a writable store, not just a readable one.
 	if err := st.Put("post-recovery", []byte("ok")); err != nil {
-		ep.End = env.Monotonic()
-		arm.Eps = append(arm.Eps, ep)
+		arm.record(ep, env)
 		return
 	}
-	ep.End = env.Monotonic()
-	ep.Recovered = true
-	arm.RecoveredEpisodes++
-	arm.MTTRTotal += ep.End - ep.Start
-	arm.Eps = append(arm.Eps, ep)
+	arm.settle(ep, env, true)
 }
 
 // runDurableBaselineArm is the control: a clean workload, a clean close, and
@@ -487,14 +493,9 @@ func runDurableBaselineArm(name string, seed int64) (DurableArm, error) {
 	batches := durableWorkload(durableOps)
 	env := simenv.New(seed)
 	opts := durable.Options{CheckpointEvery: durableCrashCkptEvery}
-	st, _, err := durable.Open(env, durableOwner, durableDir, opts)
+	st, err := openApplied(name, env, opts, batches)
 	if err != nil {
 		return arm, err
-	}
-	for _, b := range batches {
-		if err := st.Apply(b); err != nil {
-			return arm, fmt.Errorf("experiment: durable baseline: %w", err)
-		}
 	}
 	verifyReopen(&arm, env, st, opts, batches, len(batches), uint64(len(batches)),
 		"clean-reopen", "clean close and reopen")
@@ -511,14 +512,9 @@ func runDurableCrashArm(name string, seed int64, keepTail int64) (DurableArm, er
 	// Dry run on a pristine environment to enumerate the workload's write
 	// boundaries (WAL appends, syncs, and every checkpoint step).
 	dry := simenv.New(seed)
-	st, _, err := durable.Open(dry, durableOwner, durableDir, opts)
+	st, err := openApplied(name, dry, opts, batches)
 	if err != nil {
 		return arm, err
-	}
-	for _, b := range batches {
-		if err := st.Apply(b); err != nil {
-			return arm, fmt.Errorf("experiment: durable crash dry run: %w", err)
-		}
 	}
 	st.Close()
 	arm.Boundaries = int(dry.Disk().WriteOps())
@@ -562,18 +558,12 @@ func runDurableDiskFullArm(name string, seed int64) (DurableArm, error) {
 	arm := DurableArm{Name: name, Class: "EDN"}
 	batches := durableWorkload(durableOps)
 	env := simenv.New(seed)
-	opts := durable.Options{CheckpointEvery: -1}
-	st, _, err := durable.Open(env, durableOwner, durableDir, opts)
+	half := len(batches) / 2
+	st, err := openApplied(name, env, durable.Options{CheckpointEvery: -1}, batches[:half])
 	if err != nil {
 		return arm, err
 	}
 	defer st.Close()
-	half := len(batches) / 2
-	for _, b := range batches[:half] {
-		if err := st.Apply(b); err != nil {
-			return arm, fmt.Errorf("experiment: durable disk-full: %w", err)
-		}
-	}
 	// The margin is smaller than any WAL record, so the next append
 	// genuinely hits the full partition.
 	if err := env.Disk().FillFrom("other-tenant", 8); err != nil { //faultlint:ignore envcheck staging the hostile environment is the point
@@ -588,26 +578,13 @@ func runDurableDiskFullArm(name string, seed int64) (DurableArm, error) {
 	env.Disk().RemoveOwner("other-tenant")
 	ep := DurableEpisode{Op: "append-enospc", Note: ferr.Error(), Start: start}
 	arm.Episodes++
-	for _, b := range batches[half:] {
-		if err := st.Apply(b); err != nil {
-			ep.End = env.Monotonic()
-			arm.Eps = append(arm.Eps, ep)
-			arm.Acked += len(batches)
-			arm.Recovered += half
-			return arm, nil
-		}
+	if applyAll(st, batches[half:]) != nil {
+		arm.Acked += len(batches)
+		arm.Recovered += half
+		arm.record(ep, env)
+		return arm, nil
 	}
-	arm.Acked += len(batches)
-	if !durableStateEqual(st, durableModelAt(batches, uint64(len(batches)))) {
-		arm.UndetectedCorruption++
-	} else {
-		arm.Recovered += len(batches)
-		ep.Recovered = true
-		arm.RecoveredEpisodes++
-	}
-	ep.End = env.Monotonic()
-	arm.MTTRTotal += ep.End - ep.Start
-	arm.Eps = append(arm.Eps, ep)
+	arm.settleWorkload(ep, env, st, batches, true)
 	return arm, nil
 }
 
@@ -634,29 +611,15 @@ func runDurableFDArm(name string, seed int64) (DurableArm, error) {
 	arm.Episodes++
 	st, _, err := durable.Open(env, durableOwner, durableDir, durable.Options{})
 	if err != nil {
-		ep.End = env.Monotonic()
-		arm.Eps = append(arm.Eps, ep)
+		arm.record(ep, env)
 		return arm, nil
 	}
 	defer st.Close()
-	for _, b := range batches {
-		if err := st.Apply(b); err != nil {
-			ep.End = env.Monotonic()
-			arm.Eps = append(arm.Eps, ep)
-			return arm, nil
-		}
+	if applyAll(st, batches) != nil {
+		arm.record(ep, env)
+		return arm, nil
 	}
-	arm.Acked += len(batches)
-	if !durableStateEqual(st, durableModelAt(batches, uint64(len(batches)))) {
-		arm.UndetectedCorruption++
-	} else {
-		arm.Recovered += len(batches)
-		ep.Recovered = true
-		arm.RecoveredEpisodes++
-	}
-	ep.End = env.Monotonic()
-	arm.MTTRTotal += ep.End - ep.Start
-	arm.Eps = append(arm.Eps, ep)
+	arm.settleWorkload(ep, env, st, batches, true)
 	return arm, nil
 }
 
@@ -693,8 +656,7 @@ func runDurableFileLimitArm(name string, seed int64) (DurableArm, error) {
 	// recurs under a cap this small; recovery is the compaction, not a
 	// one-off).
 	if err := st.Checkpoint(); err != nil {
-		ep.End = env.Monotonic()
-		arm.Eps = append(arm.Eps, ep)
+		arm.record(ep, env)
 		return arm, nil
 	}
 	ok := true
@@ -710,17 +672,7 @@ func runDurableFileLimitArm(name string, seed int64) (DurableArm, error) {
 			break
 		}
 	}
-	arm.Acked += len(batches)
-	if ok && durableStateEqual(st, durableModelAt(batches, uint64(len(batches)))) {
-		arm.Recovered += len(batches)
-		ep.Recovered = true
-		arm.RecoveredEpisodes++
-	} else if ok {
-		arm.UndetectedCorruption++
-	}
-	ep.End = env.Monotonic()
-	arm.MTTRTotal += ep.End - ep.Start
-	arm.Eps = append(arm.Eps, ep)
+	arm.settleWorkload(ep, env, st, batches, ok)
 	return arm, nil
 }
 
@@ -732,17 +684,12 @@ func runDurableWriteFaultArm(name string, seed int64, kind string) (DurableArm, 
 	arm := DurableArm{Name: name, Class: "EDT"}
 	batches := durableWorkload(durableOps)
 	env := simenv.New(seed)
-	st, _, err := durable.Open(env, durableOwner, durableDir, durable.Options{CheckpointEvery: -1})
+	half := len(batches) / 2
+	st, err := openApplied(name, env, durable.Options{CheckpointEvery: -1}, batches[:half])
 	if err != nil {
 		return arm, err
 	}
 	defer st.Close()
-	half := len(batches) / 2
-	for _, b := range batches[:half] {
-		if err := st.Apply(b); err != nil {
-			return arm, fmt.Errorf("experiment: durable %s: %w", name, err)
-		}
-	}
 	want := simenv.ErrShortWrite
 	if kind == "sync" {
 		env.Disk().ArmSyncFail()
@@ -758,25 +705,9 @@ func runDurableWriteFaultArm(name string, seed int64, kind string) (DurableArm, 
 	env.Advance(durableDetect)
 	ep := DurableEpisode{Op: "append-" + kind, Note: ferr.Error(), Start: start}
 	arm.Episodes++
-	ok := true
-	for _, b := range batches[half:] {
-		if err := st.Apply(b); err != nil {
-			ok = false
-			break
-		}
-	}
-	arm.Acked += len(batches)
+	ok := applyAll(st, batches[half:]) == nil
 	arm.Repairs += int(st.Stats().Repairs)
-	if ok && durableStateEqual(st, durableModelAt(batches, uint64(len(batches)))) {
-		arm.Recovered += len(batches)
-		ep.Recovered = true
-		arm.RecoveredEpisodes++
-	} else if ok {
-		arm.UndetectedCorruption++
-	}
-	ep.End = env.Monotonic()
-	arm.MTTRTotal += ep.End - ep.Start
-	arm.Eps = append(arm.Eps, ep)
+	arm.settleWorkload(ep, env, st, batches, ok)
 	return arm, nil
 }
 
@@ -790,15 +721,10 @@ func runDurableTornArm(name string, seed int64) (DurableArm, error) {
 	batches := durableWorkload(durableOps)
 	env := simenv.New(seed)
 	opts := durable.Options{CheckpointEvery: -1}
-	st, _, err := durable.Open(env, durableOwner, durableDir, opts)
+	last := len(batches) - 1
+	st, err := openApplied(name, env, opts, batches[:last])
 	if err != nil {
 		return arm, err
-	}
-	last := len(batches) - 1
-	for _, b := range batches[:last] {
-		if err := st.Apply(b); err != nil {
-			return arm, fmt.Errorf("experiment: durable torn: %w", err)
-		}
 	}
 	env.Disk().ArmTornWrite(2)
 	if err := st.Apply(batches[last]); err != nil {
@@ -819,23 +745,16 @@ func runDurableRenameArm(name string, seed int64) (DurableArm, error) {
 	batches := durableWorkload(durableOps)
 	env := simenv.New(seed)
 	opts := durable.Options{CheckpointEvery: -1}
-	st, _, err := durable.Open(env, durableOwner, durableDir, opts)
+	half := len(batches) / 2
+	st, err := openApplied(name, env, opts, batches[:half])
 	if err != nil {
 		return arm, err
-	}
-	half := len(batches) / 2
-	for _, b := range batches[:half] {
-		if err := st.Apply(b); err != nil {
-			return arm, fmt.Errorf("experiment: durable rename: %w", err)
-		}
 	}
 	if err := st.Checkpoint(); err != nil {
 		return arm, fmt.Errorf("experiment: durable rename: baseline checkpoint: %w", err)
 	}
-	for _, b := range batches[half:] {
-		if err := st.Apply(b); err != nil {
-			return arm, fmt.Errorf("experiment: durable rename: %w", err)
-		}
+	if err := applyAll(st, batches[half:]); err != nil {
+		return arm, fmt.Errorf("experiment: durable rename: %w", err)
 	}
 	env.Disk().ArmCrashBeforeRename()
 	cerr := st.Checkpoint()
@@ -888,8 +807,7 @@ func runDurableSQLArm(name string, seed int64) (DurableArm, error) {
 	arm.Episodes++
 	arm.Acked += 3 // the snapshot's rows are the acknowledged state to recover
 	if err := srv.Restore(snap); err != nil {
-		ep.End = env.Monotonic()
-		arm.Eps = append(arm.Eps, ep)
+		arm.record(ep, env)
 		return arm, nil
 	}
 	rs, err := srv.Exec("SELECT id FROM t")
@@ -897,16 +815,13 @@ func runDurableSQLArm(name string, seed int64) (DurableArm, error) {
 	if err == nil {
 		rows = len(rs.Rows)
 	}
-	if srv.WALReplays() == 1 && rows == 3 {
+	recovered := srv.WALReplays() == 1 && rows == 3
+	if recovered {
 		arm.Recovered += 3
-		ep.Recovered = true
-		arm.RecoveredEpisodes++
 	} else if rows != 3 {
 		arm.SilentLoss += 3 - rows
 	}
-	ep.End = env.Monotonic()
-	arm.MTTRTotal += ep.End - ep.Start
-	arm.Eps = append(arm.Eps, ep)
+	arm.settle(ep, env, recovered)
 	srv.Stop()
 	return arm, nil
 }
@@ -938,8 +853,7 @@ func runDurableCacheArm(name string, seed int64) (DurableArm, error) {
 	arm.Episodes++
 	arm.Acked += len(keys)
 	if err := c.Tree().Restart(cache.CompPersist); err != nil {
-		ep.End = env.Monotonic()
-		arm.Eps = append(arm.Eps, ep)
+		arm.record(ep, env)
 		c.Stop()
 		return arm, nil
 	}
@@ -951,15 +865,10 @@ func runDurableCacheArm(name string, seed int64) (DurableArm, error) {
 		}
 	}
 	arm.Recovered += got
-	if got == len(keys) {
-		ep.Recovered = true
-		arm.RecoveredEpisodes++
-	} else {
+	if got != len(keys) {
 		arm.SilentLoss += len(keys) - got
 	}
-	ep.End = env.Monotonic()
-	arm.MTTRTotal += ep.End - ep.Start
-	arm.Eps = append(arm.Eps, ep)
+	arm.settle(ep, env, got == len(keys))
 	c.Stop()
 	return arm, nil
 }
@@ -1027,7 +936,7 @@ func (r *DurableReport) String() string {
 			fmt.Sprint(a.SilentLoss),
 			fmt.Sprint(a.DetectedLoss),
 			fmt.Sprint(a.Repairs),
-			mrebootMTTRCell(a.MTTR()))
+			mttrCell(a.MTTR()))
 	}
 	b.WriteString(tbl.String())
 	var crashes, acked, silent, detected int

@@ -39,8 +39,8 @@ func TestRunDurableGate(t *testing.T) {
 	if err := rep.Check(); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
-	if len(rep.Arms) != len(durableArmNames()) {
-		t.Fatalf("got %d arms, want %d", len(rep.Arms), len(durableArmNames()))
+	if len(rep.Arms) != len(durableArms) {
+		t.Fatalf("got %d arms, want %d", len(rep.Arms), len(durableArms))
 	}
 	byName := make(map[string]DurableArm)
 	for _, a := range rep.Arms {
@@ -105,7 +105,7 @@ func TestRunDurableResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("halted run: %v", err)
 	}
-	if !rep.Halted || rep.Done != 4 || rep.Total != len(durableArmNames()) {
+	if !rep.Halted || rep.Done != 4 || rep.Total != len(durableArms) {
 		t.Fatalf("halted run: got halted=%v done=%d total=%d", rep.Halted, rep.Done, rep.Total)
 	}
 	if err := rep.Check(); err != nil {

@@ -108,11 +108,37 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestBuildScenarioErrors(t *testing.T) {
-	if _, _, err := BuildScenario("kernel/unknown", 1); err == nil {
-		t.Error("unknown namespace should fail")
+	cases := []struct {
+		mechanism string
+		err       string // "" when the mechanism must build
+		class     string // ClassFor's label
+	}{
+		{"kernel/unknown", `experiment: unknown mechanism namespace "kernel/unknown"`, "?"},
+		{"httpd", `experiment: unknown mechanism namespace "httpd"`, "?"},
+		{"httpd/not-a-mechanism", "experiment: no httpd scenario for httpd/not-a-mechanism", "?"},
+		{"httpd/dns-error", "", "EDT"},
+		// The extension archetype resolves through the same catalogue for
+		// building and for labelling.
+		{"cache/empty-key-deref", "", "EI"},
 	}
-	if _, _, err := BuildScenario("httpd/not-a-mechanism", 1); err == nil {
-		t.Error("unknown httpd mechanism should fail")
+	// Every mechanism of the extended catalogue builds and is labelled with
+	// its own class.
+	reg := CorpusRegistry()
+	for _, key := range reg.Keys() {
+		m, _ := reg.Lookup(key)
+		cases = append(cases, struct{ mechanism, err, class string }{key, "", m.Class().Short()})
+	}
+	for _, tc := range cases {
+		_, _, err := BuildScenario(tc.mechanism, 1)
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("BuildScenario(%q): %v", tc.mechanism, err)
+		case tc.err != "" && (err == nil || err.Error() != tc.err):
+			t.Errorf("BuildScenario(%q) error = %v, want %q", tc.mechanism, err, tc.err)
+		}
+		if got := ClassFor(tc.mechanism); got != tc.class {
+			t.Errorf("ClassFor(%q) = %q, want %q", tc.mechanism, got, tc.class)
+		}
 	}
 }
 
@@ -131,7 +157,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestRecoveryMatrixHeadline(t *testing.T) {
-	m, err := RunMatrix(recovery.Policy{}, 42)
+	m, err := RunMatrix(recovery.Policy{}, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +219,7 @@ func TestRecoveryMatrixHeadline(t *testing.T) {
 }
 
 func TestLee93Reconciliation(t *testing.T) {
-	m, err := RunMatrix(recovery.Policy{}, 42)
+	m, err := RunMatrix(recovery.Policy{}, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +331,7 @@ func TestReclaimAblation(t *testing.T) {
 }
 
 func TestCSVExports(t *testing.T) {
-	m, err := RunMatrix(recovery.Policy{}, 42)
+	m, err := RunMatrix(recovery.Policy{}, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,11 +449,11 @@ func TestOpsToFailureMonotone(t *testing.T) {
 }
 
 func TestRecoveryMatrixDeterministic(t *testing.T) {
-	a, err := RunMatrix(recovery.Policy{}, 7)
+	a, err := RunMatrix(recovery.Policy{}, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMatrix(recovery.Policy{}, 7)
+	b, err := RunMatrix(recovery.Policy{}, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +480,7 @@ func TestRecoveryMatrixStableAcrossSeeds(t *testing.T) {
 	// survival stays near-total (individual race retries are probabilistic
 	// within the 3-attempt budget).
 	for _, seed := range []int64{1, 1999, 123456} {
-		m, err := RunMatrix(recovery.Policy{}, seed)
+		m, err := RunMatrix(recovery.Policy{}, seed, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -473,7 +499,7 @@ func TestRecoveryMatrixStableAcrossSeeds(t *testing.T) {
 
 func TestPerAppGenericSurvivalBand(t *testing.T) {
 	// The paper's 5-14% per-application band, measured end to end.
-	m, err := RunMatrix(recovery.Policy{}, 42)
+	m, err := RunMatrix(recovery.Policy{}, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,100 +10,79 @@ import (
 	"faultstudy/internal/taxonomy"
 )
 
+// renderCSV encodes rows as one CSV document.
+func renderCSV(rows [][]string) (string, error) {
+	var b strings.Builder
+	w := csv.NewWriter(&b)
+	if err := w.WriteAll(rows); err != nil {
+		return "", err
+	}
+	return b.String(), nil
+}
+
 // FigureCSV renders a figure's series as CSV: one row per bucket with
 // per-class counts — the machine-readable form of Figures 1–3 for external
 // plotting.
 func FigureCSV(fig *FigureSeries) (string, error) {
-	var b strings.Builder
-	w := csv.NewWriter(&b)
 	header := []string{"bucket"}
 	for _, c := range taxonomy.Classes() {
 		header = append(header, c.Short())
 	}
-	header = append(header, "total")
-	if err := w.Write(header); err != nil {
-		return "", err
-	}
+	rows := [][]string{append(header, "total")}
 	totals := fig.Totals()
 	for i, bucket := range fig.Buckets {
 		row := []string{bucket}
 		for _, c := range taxonomy.Classes() {
 			row = append(row, strconv.Itoa(fig.PerClass[c][i]))
 		}
-		row = append(row, strconv.Itoa(totals[i]))
-		if err := w.Write(row); err != nil {
-			return "", err
-		}
+		rows = append(rows, append(row, strconv.Itoa(totals[i])))
 	}
-	w.Flush()
-	return b.String(), w.Error()
+	return renderCSV(rows)
 }
 
 // TableCSV renders a classification table as CSV with measured and paper
 // columns.
 func TableCSV(t *TableResult) (string, error) {
-	var b strings.Builder
-	w := csv.NewWriter(&b)
-	if err := w.Write([]string{"class", "measured", "paper"}); err != nil {
-		return "", err
-	}
+	rows := [][]string{{"class", "measured", "paper"}}
 	for _, c := range taxonomy.Classes() {
-		if err := w.Write([]string{c.String(), strconv.Itoa(t.Counts[c]), strconv.Itoa(t.Paper[c])}); err != nil {
-			return "", err
-		}
+		rows = append(rows, []string{c.String(), strconv.Itoa(t.Counts[c]), strconv.Itoa(t.Paper[c])})
 	}
-	w.Flush()
-	return b.String(), w.Error()
+	return renderCSV(rows)
 }
 
 // MatrixCSV renders the recovery matrix as CSV: one row per fault with its
 // class, mechanism, and per-strategy outcome.
 func MatrixCSV(m *Matrix) (string, error) {
-	var b strings.Builder
-	w := csv.NewWriter(&b)
 	header := []string{"fault", "class", "mechanism"}
 	for _, s := range m.Strategies {
 		header = append(header, s.String())
 	}
-	if err := w.Write(header); err != nil {
-		return "", err
-	}
+	rows := [][]string{header}
 	for _, fo := range m.PerFault {
 		row := []string{fo.FaultID, fo.Class.Short(), fo.Mechanism}
 		for _, s := range m.Strategies {
 			row = append(row, strconv.FormatBool(fo.Survived[s]))
 		}
-		if err := w.Write(row); err != nil {
-			return "", err
-		}
+		rows = append(rows, row)
 	}
-	w.Flush()
-	return b.String(), w.Error()
+	return renderCSV(rows)
 }
 
 // MatrixSummaryCSV renders the class-by-strategy survival rates as CSV.
 func MatrixSummaryCSV(m *Matrix) (string, error) {
-	var b strings.Builder
-	w := csv.NewWriter(&b)
 	header := []string{"class", "faults"}
 	for _, s := range m.Strategies {
 		header = append(header, s.String()+"_survived")
 	}
-	if err := w.Write(header); err != nil {
-		return "", err
-	}
+	rows := [][]string{header}
 	for _, c := range taxonomy.Classes() {
-		n := m.Rate(recovery.StrategyNone, c).N
-		row := []string{c.Short(), strconv.Itoa(n)}
+		row := []string{c.Short(), strconv.Itoa(m.Rate(recovery.StrategyNone, c).N)}
 		for _, s := range m.Strategies {
 			row = append(row, strconv.Itoa(m.Rate(s, c).Hits))
 		}
-		if err := w.Write(row); err != nil {
-			return "", err
-		}
+		rows = append(rows, row)
 	}
-	w.Flush()
-	return b.String(), w.Error()
+	return renderCSV(rows)
 }
 
 // ExportAll renders every artifact as named CSV documents (file name ->

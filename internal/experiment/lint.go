@@ -9,7 +9,6 @@ import (
 
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/faultlint"
-	"faultstudy/internal/parallel"
 	"faultstudy/internal/stats"
 	"faultstudy/internal/taxonomy"
 )
@@ -141,13 +140,6 @@ func resolvePredicted(votes map[taxonomy.FaultClass]int) taxonomy.FaultClass {
 	return taxonomy.ClassUnknown
 }
 
-// RunLint loads the three application packages under root, runs the envsite
-// analyzer, and scores its predictions against the seeded registry. It is
-// the single-worker case of RunLintWorkers.
-func RunLint(root string) (*LintReport, error) {
-	return RunLintWorkers(root, 1)
-}
-
 // scoreLintApp scores one application's envsite predictions against the
 // seeded registry — a pure function of the (read-only) analyzer result and
 // the app's registry slice, so the three applications score in parallel.
@@ -209,12 +201,13 @@ func scoreLintApp(result *faultlint.Result, reg *faultinject.Registry, app taxon
 	return la
 }
 
-// RunLintWorkers is RunLint with per-application scoring sharded over a
-// worker pool (workers ≤ 0 means one per processor). Scoring is pure
-// computation over the shared, read-only analyzer result, and the per-app
-// reports are reduced in application order, so the report is identical at
-// every worker count.
-func RunLintWorkers(root string, workers int) (*LintReport, error) {
+// RunLint loads the three application packages under root, runs the envsite
+// analyzer, and scores its predictions against the seeded registry, one
+// application per arm over a worker pool (workers ≤ 0 means one per
+// processor). Scoring is pure computation over the shared, read-only
+// analyzer result, and the per-app reports are folded in application order,
+// so the report is identical at every worker count.
+func RunLint(root string, workers int) (*LintReport, error) {
 	reg := Registry()
 	report := &LintReport{Root: root}
 
@@ -233,9 +226,9 @@ func RunLintWorkers(root string, workers int) (*LintReport, error) {
 	}
 	report.Result = result
 
-	report.Apps, err = parallel.MapOrdered(workers, len(apps), func(i int) (LintApp, error) {
+	err = sweep(workers, len(apps), nil, func(i int, _ *Telemetry) (LintApp, error) {
 		return scoreLintApp(result, reg, apps[i]), nil
-	})
+	}, func(_ int, la LintApp) { report.Apps = append(report.Apps, la) })
 	if err != nil {
 		return nil, err
 	}

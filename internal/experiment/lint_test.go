@@ -25,7 +25,7 @@ func TestLintValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := RunLint(root)
+	report, err := RunLint(root, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestLintPredictionsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := RunLint(root)
+	a, err := RunLint(root, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunLint(root)
+	b, err := RunLint(root, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

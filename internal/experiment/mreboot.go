@@ -6,14 +6,10 @@ import (
 	"strings"
 	"time"
 
-	"faultstudy/internal/apps/desktop"
-	"faultstudy/internal/apps/httpd"
-	"faultstudy/internal/apps/sqldb"
 	"faultstudy/internal/component"
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/obsv"
 	"faultstudy/internal/parallel"
-	"faultstudy/internal/recovery"
 	"faultstudy/internal/simenv"
 	"faultstudy/internal/stats"
 	"faultstudy/internal/taxonomy"
@@ -141,140 +137,19 @@ type MRebootReport struct {
 // the shards are reduced in fixed arm order — so reports, traces, and metric
 // dumps are byte-identical at every worker count.
 func RunMReboot(cfg MRebootConfig) (*MRebootReport, error) {
-	keys := Registry().Keys()
+	reg := Registry()
+	keys := reg.Keys()
 	policies := MRebootPolicies()
-	type shardOut struct {
-		arm MRebootArm
-		tel *Telemetry
-	}
 	n := len(keys) * len(policies)
-	outs, err := parallel.MapOrdered(cfg.Workers, n, func(i int) (shardOut, error) {
-		var tel *Telemetry
-		if cfg.Telemetry != nil {
-			tel = NewTelemetry()
-		}
-		mech, _ := Registry().Lookup(keys[i/len(policies)])
-		arm, err := runMRebootArm(cfg, i, mech, policies[i%len(policies)], tel)
-		return shardOut{arm: arm, tel: tel}, err
-	})
+	rep := &MRebootReport{Seed: cfg.Seed, Arms: make([]MRebootArm, 0, n)}
+	err := sweep(cfg.Workers, n, cfg.Telemetry, func(i int, tel *Telemetry) (MRebootArm, error) {
+		mech, _ := reg.Lookup(keys[i/len(policies)])
+		return runMRebootArm(cfg, i, mech, policies[i%len(policies)], tel)
+	}, func(_ int, a MRebootArm) { rep.Arms = append(rep.Arms, a) })
 	if err != nil {
 		return nil, err
 	}
-	rep := &MRebootReport{Seed: cfg.Seed, Arms: make([]MRebootArm, 0, n)}
-	tels := make([]*Telemetry, 0, n)
-	for _, o := range outs {
-		rep.Arms = append(rep.Arms, o.arm)
-		tels = append(tels, o.tel)
-	}
-	if err := cfg.Telemetry.Merge(tels...); err != nil {
-		return nil, err
-	}
 	return rep, nil
-}
-
-// componentApp is what an MREBOOT arm needs from an application: the recovery
-// lifecycle plus the component tree.
-type componentApp interface {
-	recovery.Application
-	component.Host
-}
-
-// mrebootDriver binds a componentized application to its background
-// workload: warm establishes the sessions and state the workload uses, and
-// bg serves the i-th background arrival through the component routing.
-type mrebootDriver struct {
-	app  componentApp
-	warm func()
-	bg   func(i int) error
-}
-
-// buildComponentized constructs the componentized application, its scenario,
-// and the background-workload driver for a mechanism. Warmup errors are
-// tolerated (a seeded bug may fire during warmup; the workload then reports
-// it), with crashes contained so staging still runs against a live process.
-func buildComponentized(mechanism string, seed int64) (*mrebootDriver, faultinject.Scenario, error) {
-	switch {
-	case strings.HasPrefix(mechanism, "httpd/"):
-		env := simenv.New(seed, simenv.WithFDLimit(64), simenv.WithProcLimit(192))
-		srv := httpd.New(env, faultinject.NewSet(mechanism), httpd.Config{})
-		sc, ok := httpd.Scenarios(srv)[mechanism]
-		if !ok {
-			return nil, faultinject.Scenario{}, fmt.Errorf("experiment: no httpd scenario for %s", mechanism)
-		}
-		c := httpd.Componentize(srv, component.NewStore())
-		paths := []string{"/", "/index.html", "/proxy/asset", "/"}
-		sessions := []string{"alice", "bob"}
-		return &mrebootDriver{
-			app:  c,
-			warm: func() {},
-			bg: func(i int) error {
-				_, err := c.Serve(httpd.Request{
-					Method:  "GET",
-					Path:    paths[i%len(paths)],
-					Session: sessions[i%len(sessions)],
-				})
-				return err
-			},
-		}, sc, nil
-	case strings.HasPrefix(mechanism, "sqldb/"):
-		env := simenv.New(seed, simenv.WithFDLimit(64))
-		srv := sqldb.New(env, faultinject.NewSet(mechanism))
-		sc, ok := sqldb.Scenarios(srv)[mechanism]
-		if !ok {
-			return nil, faultinject.Scenario{}, fmt.Errorf("experiment: no sqldb scenario for %s", mechanism)
-		}
-		c := sqldb.Componentize(srv, component.NewStore())
-		return &mrebootDriver{
-			app: c,
-			warm: func() {
-				tolerate(c, func() error { return c.Connect("alice", "10.0.0.7") })
-				tolerate(c, func() error {
-					_, err := c.Exec("alice", "CREATE TABLE warm (id INT, name TEXT)")
-					return err
-				})
-				tolerate(c, func() error {
-					_, err := c.Exec("alice", "INSERT INTO warm VALUES (1, 'w')")
-					return err
-				})
-			},
-			bg: func(i int) error {
-				_, err := c.Exec("alice", "SELECT id FROM warm")
-				return err
-			},
-		}, sc, nil
-	case strings.HasPrefix(mechanism, "desktop/"):
-		env := simenv.New(seed)
-		desk := desktop.New(env, faultinject.NewSet(mechanism))
-		sc, ok := desktop.Scenarios(desk)[mechanism]
-		if !ok {
-			return nil, faultinject.Scenario{}, fmt.Errorf("experiment: no desktop scenario for %s", mechanism)
-		}
-		c := desktop.Componentize(desk, component.NewStore())
-		events := []desktop.Event{
-			{Widget: "calendar", Action: "next"},
-			{Widget: "gnumeric", Action: "get-cell", Arg: "A1"},
-			{Widget: "session", Action: "noop"},
-		}
-		return &mrebootDriver{
-			app: c,
-			warm: func() {
-				tolerate(c, func() error {
-					return c.Dispatch(desktop.Event{Widget: "gnumeric", Action: "set-cell", Arg: "A1=1"})
-				})
-			},
-			bg: func(i int) error { return c.Dispatch(events[i%len(events)]) },
-		}, sc, nil
-	default:
-		return nil, faultinject.Scenario{}, fmt.Errorf("experiment: unknown mechanism namespace %q", mechanism)
-	}
-}
-
-// tolerate runs a warmup step, containing any crash it causes so the arm
-// still starts from a live process.
-func tolerate(app componentApp, f func() error) {
-	if f() != nil && !app.Running() {
-		app.ContainCrash()
-	}
 }
 
 // mrebootArrival is one scheduled workload arrival.
@@ -418,10 +293,32 @@ func (r *mrebootRun) serveOutage(window time.Duration) {
 
 // perturb forces a fresh interleaving before a retry (Wang93), exactly as
 // the supervisor's ladder does.
-func (r *mrebootRun) perturb(attempt int) {
-	r.env.Sched().UnforceAll()
-	r.env.Reroll()
-	r.env.Sched().Force(r.mech.Key, attempt)
+func perturb(env *simenv.Env, mechanism string, attempt int) {
+	env.Sched().UnforceAll()
+	env.Reroll()
+	env.Sched().Force(mechanism, attempt)
+}
+
+// rebootComponent crash-stops target — with subtree, its whole dependent
+// subtree in reverse dependency order — lets outage serve the reboot window
+// while the component is down, and restarts it forward. A single component
+// that cannot be killed is left alone.
+func rebootComponent(tree *component.Tree, target string, subtree bool, outage func(window time.Duration)) {
+	if !subtree {
+		if tree.Kill(target) == nil {
+			outage(tree.RebootCost(target))
+			_ = tree.Restart(target)
+		}
+		return
+	}
+	members := tree.SubtreeOf(target)
+	for i := len(members) - 1; i >= 0; i-- {
+		_ = tree.Kill(members[i])
+	}
+	outage(tree.SubtreeCost(target))
+	for _, name := range members {
+		_ = tree.Restart(name)
+	}
 }
 
 // episode recovers one failed arrival with the arm's policy: detection
@@ -500,27 +397,11 @@ func (r *mrebootRun) applyPolicy(attempt int, preOp []byte) string {
 	if r.policy == "microreboot" {
 		if target, ok := app.ComponentFor(r.mech.Key); ok {
 			app.ContainCrash()
-			tree := app.Tree()
-			if attempt == 1 {
-				// Crash-stop the attributed component alone; siblings keep
-				// serving the arrivals that land in the reboot window.
-				if tree.Kill(target) == nil {
-					r.serveOutage(tree.RebootCost(target))
-					_ = tree.Restart(target)
-				}
-			} else {
-				// The rung widens: crash-stop the component's dependent
-				// subtree, reverse dependency order, and restart it forward.
-				members := tree.SubtreeOf(target)
-				for i := len(members) - 1; i >= 0; i-- {
-					_ = tree.Kill(members[i])
-				}
-				r.serveOutage(tree.SubtreeCost(target))
-				for _, name := range members {
-					_ = tree.Restart(name)
-				}
-			}
-			r.perturb(attempt)
+			// The first attempt reboots the attributed component alone, its
+			// siblings serving the arrivals in the window; the rung then widens
+			// to the component's dependent subtree.
+			rebootComponent(app.Tree(), target, attempt > 1, r.serveOutage)
+			perturb(r.env, r.mech.Key, attempt)
 			return target
 		}
 		// No attribution: fall through to a process restart.
@@ -530,7 +411,7 @@ func (r *mrebootRun) applyPolicy(attempt int, preOp []byte) string {
 	r.env.Advance(mrebootProcRestart)
 	r.lostWindow(mrebootProcRestart, true)
 	r.env.ReclaimOwner(app.Name())
-	r.perturb(attempt)
+	perturb(r.env, r.mech.Key, attempt)
 	snap := preOp
 	if r.policy == "rollback" {
 		snap = r.epoch
@@ -664,8 +545,9 @@ func (r *MRebootReport) Check() error {
 	return nil
 }
 
-// mrebootMTTRCell renders a mean repair time ("-" when nothing recovered).
-func mrebootMTTRCell(d time.Duration) string {
+// mttrCell renders a mean repair time ("-" when nothing recovered, or the
+// repair took no virtual time).
+func mttrCell(d time.Duration) string {
 	if d == 0 {
 		return "-"
 	}
@@ -689,7 +571,7 @@ func (r *MRebootReport) String() string {
 				fmt.Sprintf("%d/%d (%s)", rec.Hits, rec.N, rec.Percent()),
 				fmt.Sprint(req), fmt.Sprint(lost),
 				fmt.Sprintf("%d/%d (%s)", good.Hits, good.N, good.Percent()),
-				mrebootMTTRCell(r.MTTRBy(class, policy)))
+				mttrCell(r.MTTRBy(class, policy)))
 		}
 	}
 	b.WriteString(tbl.String())

@@ -3,8 +3,11 @@ package experiment
 import (
 	"fmt"
 
+	"faultstudy/internal/corpus"
+	"faultstudy/internal/obsv"
 	"faultstudy/internal/recovery"
 	"faultstudy/internal/stats"
+	"faultstudy/internal/supervise"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -41,10 +44,7 @@ func (m *Matrix) Rate(strat recovery.Strategy, class taxonomy.FaultClass) stats.
 		if class != taxonomy.ClassUnknown && fo.Class != class {
 			continue
 		}
-		p.N++
-		if fo.Survived[strat] {
-			p.Hits++
-		}
+		p.Add(fo.Survived[strat])
 	}
 	return p
 }
@@ -62,10 +62,7 @@ func (m *Matrix) AppRate(strat recovery.Strategy, app taxonomy.Application) stat
 		if len(fo.FaultID) < len(prefix) || fo.FaultID[:len(prefix)] != prefix {
 			continue
 		}
-		p.N++
-		if fo.Survived[strat] {
-			p.Hits++
-		}
+		p.Add(fo.Survived[strat])
 	}
 	return p
 }
@@ -99,14 +96,6 @@ func (m *Matrix) String() string {
 	return "Recovery survival by fault class and strategy:\n" + tbl.String()
 }
 
-// RunMatrix executes every corpus fault's scenario under every strategy.
-// Each (fault, strategy) run gets its own freshly seeded environment and
-// application instance, so runs are independent and deterministic. It is the
-// single-worker case of RunMatrixWorkers.
-func RunMatrix(policy recovery.Policy, seed int64) (*Matrix, error) {
-	return RunMatrixWorkers(policy, seed, 1)
-}
-
 // Lee93 holds the §7 reconciliation with Lee & Iyer's Tandem GUARDIAN study.
 type Lee93 struct {
 	// TandemReported is the process-pair recovery rate Lee & Iyer report
@@ -136,10 +125,7 @@ func ComputeLee93(m *Matrix) *Lee93 {
 	}
 	share := stats.Proportion{}
 	for _, fo := range m.PerFault {
-		share.N++
-		if fo.Class == taxonomy.ClassEnvDependentTransient {
-			share.Hits++
-		}
+		share.Add(fo.Class == taxonomy.ClassEnvDependentTransient)
 	}
 	l.OurTransientShare = share
 	for _, app := range taxonomy.Applications() {
@@ -160,4 +146,91 @@ func (l *Lee93) String() string {
 		tbl.Add("  measured for "+app.String(), l.PerApp[app].Percent())
 	}
 	return "Reconciliation with Lee & Iyer (Tandem GUARDIAN):\n" + tbl.String()
+}
+
+// RunMatrix executes every corpus fault's scenario under every strategy,
+// sharded over a worker pool: every corpus fault is one arm, run under every
+// strategy with its own freshly seeded environment and application instance,
+// so runs are independent and deterministic. workers ≤ 0 means one worker per
+// processor. The resulting matrix is byte-identical at every worker count.
+//
+// With workers > 1 the policy's Trace hook, if any, is invoked concurrently
+// from multiple shards; hooks must be safe for concurrent use (the CLI's
+// -steps hook is only attached to single-mechanism runs).
+func RunMatrix(policy recovery.Policy, seed int64, workers int) (*Matrix, error) {
+	faults := corpus.All()
+	m := &Matrix{
+		Strategies: recovery.Strategies(),
+		PerFault:   make([]FaultOutcome, len(faults)),
+	}
+	err := sweep(workers, len(faults), nil, func(i int, _ *Telemetry) (FaultOutcome, error) {
+		f := faults[i]
+		mgr := recovery.NewManager(policy)
+		fo := FaultOutcome{
+			FaultID:   f.ID,
+			Mechanism: f.Mechanism,
+			Class:     f.Class,
+			Survived:  make(map[recovery.Strategy]bool, len(m.Strategies)),
+		}
+		for si, strat := range m.Strategies {
+			app, sc, err := BuildScenario(f.Mechanism, seed+int64(si))
+			if err != nil {
+				return fo, fmt.Errorf("experiment: %s: %w", f.ID, err)
+			}
+			out, err := mgr.Run(app, sc, strat)
+			if err != nil {
+				return fo, fmt.Errorf("experiment: %s under %s: %w", f.ID, strat, err)
+			}
+			fo.Survived[strat] = out.Survived
+		}
+		return fo, nil
+	}, func(i int, fo FaultOutcome) { m.PerFault[i] = fo })
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// AddSupervised runs every corpus fault's scenario under a supervisor and
+// records each verdict in the matrix, adding the paper-extension column that
+// compares supervision against the bare one-shot strategies. Every fault is
+// one arm with a fresh environment, application, and supervisor. When t is
+// non-nil every run is observed under its corpus identity (application,
+// fault ID, oracle class) and the arms' telemetry is folded into t in corpus
+// order, so the merged trace, timeline, summary, and exports are
+// byte-identical at every worker count (workers ≤ 0 means one per
+// processor).
+func (m *Matrix) AddSupervised(seed int64, cfg supervise.Config, t *Telemetry, workers int) error {
+	reg := Registry()
+	return sweep(workers, len(m.PerFault), t, func(i int, tel *Telemetry) (SupervisorVerdict, error) {
+		fo := &m.PerFault[i]
+		k, err := appFor(fo.Mechanism)
+		if err != nil {
+			return VerdictNone, fmt.Errorf("experiment: supervised %s: %w", fo.FaultID, err)
+		}
+		app, sc, err := k.scenario(fo.Mechanism, seed)
+		if err != nil {
+			return VerdictNone, fmt.Errorf("experiment: supervised %s: %w", fo.FaultID, err)
+		}
+		// Start before staging, like the bare-strategy runs: the staged
+		// environmental condition hits a running application.
+		if err := app.Start(); err != nil {
+			return VerdictNone, fmt.Errorf("experiment: supervised %s: start: %w", fo.FaultID, err)
+		}
+		if sc.Stage != nil {
+			sc.Stage()
+		}
+		mech, _ := reg.Lookup(fo.Mechanism)
+		runCfg, obs := tel.superviseConfig(cfg, obsv.Context{
+			App:     mech.App.String(),
+			FaultID: fo.FaultID,
+			Class:   fo.Class.Short(),
+		})
+		rep, err := supervise.New(app, runCfg).Run(k.wrapOps(sc.Ops))
+		if err != nil {
+			return VerdictNone, fmt.Errorf("experiment: supervised %s: %w", fo.FaultID, err)
+		}
+		obs.Flush(app.Env().Monotonic())
+		return verdictOf(rep), nil
+	}, func(i int, v SupervisorVerdict) { m.PerFault[i].Supervised = v })
 }

@@ -103,29 +103,12 @@ func RunResil(cfg ResilConfig) (*ResilReport, error) {
 	cfg = cfg.withDefaults()
 	faults := chaoshttp.Catalog()
 	policies := ResilPolicies()
-	type shardOut struct {
-		arm ResilArm
-		tel *Telemetry
-	}
 	n := len(faults) * len(policies)
-	outs, err := parallel.MapOrdered(cfg.Workers, n, func(i int) (shardOut, error) {
-		var tel *Telemetry
-		if cfg.Telemetry != nil {
-			tel = NewTelemetry()
-		}
-		arm, err := runResilArm(cfg, i, faults[i/len(policies)], policies[i%len(policies)], tel)
-		return shardOut{arm: arm, tel: tel}, err
-	})
-	if err != nil {
-		return nil, err
-	}
 	rep := &ResilReport{Seed: cfg.Seed, MaxPages: cfg.MaxPages, Arms: make([]ResilArm, 0, n)}
-	tels := make([]*Telemetry, 0, n)
-	for _, o := range outs {
-		rep.Arms = append(rep.Arms, o.arm)
-		tels = append(tels, o.tel)
-	}
-	if err := cfg.Telemetry.Merge(tels...); err != nil {
+	err := sweep(cfg.Workers, n, cfg.Telemetry, func(i int, tel *Telemetry) (ResilArm, error) {
+		return runResilArm(cfg, i, faults[i/len(policies)], policies[i%len(policies)], tel)
+	}, func(_ int, a ResilArm) { rep.Arms = append(rep.Arms, a) })
+	if err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -279,15 +262,6 @@ func (r *ResilReport) Check() error {
 	return nil
 }
 
-// mttrCell renders an arm's MTTR for the matrix ("-" when nothing
-// recovered).
-func mttrCell(a ResilArm) string {
-	if a.Recovered == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.3fs", a.MTTR.Seconds())
-}
-
 // String renders the full matrix, the per-class survival aggregate, and the
 // headline.
 func (r *ResilReport) String() string {
@@ -303,7 +277,7 @@ func (r *ResilReport) String() string {
 			fmt.Sprint(a.Gaps),
 			fmt.Sprintf("%d/%d (%s)", s.Hits, s.N, s.Percent()),
 			fmt.Sprint(a.Retries), fmt.Sprint(a.Hedges), fmt.Sprint(a.FastFails),
-			fmt.Sprint(a.BudgetDenied), mttrCell(a))
+			fmt.Sprint(a.BudgetDenied), mttrCell(a.MTTR))
 	}
 	b.WriteString(tbl.String())
 	b.WriteString("\nSurvival of chaos-targeted URLs, by class x policy:\n")

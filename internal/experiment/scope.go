@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/faultlint"
@@ -174,43 +175,26 @@ func RunScope(cfg ScopeConfig) (*ScopeReport, error) {
 	analysis := recoveryscope.Analyze(pkgs)
 	byMech := analysis.ByMechanism()
 
-	keys := Registry().Keys()
+	reg := Registry()
+	keys := reg.Keys()
 	rungs := recoveryscope.Rungs()
-	type shardOut struct {
-		arm ScopeArm
-		tel *Telemetry
-	}
-	n := len(keys) * len(rungs)
-	outs, err := parallel.MapOrdered(cfg.Workers, n, func(i int) (shardOut, error) {
-		var tel *Telemetry
-		if cfg.Telemetry != nil {
-			tel = NewTelemetry()
+	rep := &ScopeReport{Seed: cfg.Seed, Sites: len(analysis.Sites)}
+	curedAt := make(map[string]recoveryscope.Rung, len(keys))
+	err = sweep(cfg.Workers, len(keys)*len(rungs), cfg.Telemetry, func(i int, tel *Telemetry) (ScopeArm, error) {
+		mech, _ := reg.Lookup(keys[i/len(rungs)])
+		return runScopeArm(cfg, i, mech, rungs[i%len(rungs)], byMech[mech.Key].Rung, tel)
+	}, func(_ int, a ScopeArm) {
+		rep.Arms = append(rep.Arms, a)
+		if _, ok := curedAt[a.Mechanism]; a.Cured && !ok {
+			curedAt[a.Mechanism] = a.Rung // arms arrive in ladder order
 		}
-		mech, _ := Registry().Lookup(keys[i/len(rungs)])
-		arm, err := runScopeArm(cfg, i, mech, rungs[i%len(rungs)], byMech[mech.Key].Rung, tel)
-		return shardOut{arm: arm, tel: tel}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep := &ScopeReport{Seed: cfg.Seed, Sites: len(analysis.Sites)}
-	tels := make([]*Telemetry, 0, n)
-	curedAt := make(map[string]recoveryscope.Rung, len(keys))
-	for _, o := range outs {
-		rep.Arms = append(rep.Arms, o.arm)
-		tels = append(tels, o.tel)
-		if o.arm.Cured {
-			if _, ok := curedAt[o.arm.Mechanism]; !ok {
-				curedAt[o.arm.Mechanism] = o.arm.Rung // arms arrive in ladder order
-			}
-		}
-	}
-	if err := cfg.Telemetry.Merge(tels...); err != nil {
-		return nil, err
-	}
 
 	for _, key := range keys {
-		mech, _ := Registry().Lookup(key)
+		mech, _ := reg.Lookup(key)
 		sm := ScopeMech{Mechanism: key, App: mech.App, TruthClass: mech.Class()}
 		if mp, ok := byMech[key]; ok {
 			sm.StaticClass = mp.Class
@@ -402,25 +386,11 @@ func (r *scopeRun) applyRung(attempt int, preOp []byte) string {
 	tree := app.Tree()
 	target := ""
 	switch r.rung {
-	case recoveryscope.RungMicroreboot:
+	case recoveryscope.RungMicroreboot, recoveryscope.RungSubtreeReboot:
 		app.ContainCrash()
 		if r.hasTarget {
 			target = r.target
-			if tree.Kill(r.target) == nil {
-				_ = tree.Restart(r.target)
-			}
-		}
-	case recoveryscope.RungSubtreeReboot:
-		app.ContainCrash()
-		if r.hasTarget {
-			target = r.target
-			members := tree.SubtreeOf(r.target)
-			for i := len(members) - 1; i >= 0; i-- {
-				_ = tree.Kill(members[i])
-			}
-			for _, name := range members {
-				_ = tree.Restart(name)
-			}
+			rebootComponent(tree, r.target, r.rung == recoveryscope.RungSubtreeReboot, func(time.Duration) {})
 		}
 	case recoveryscope.RungRestore:
 		app.Stop()
@@ -433,9 +403,7 @@ func (r *scopeRun) applyRung(attempt int, preOp []byte) string {
 		app.Env().ReclaimOwner(app.Name())
 		_ = app.Reset()
 	}
-	app.Env().Sched().UnforceAll()
-	app.Env().Reroll()
-	app.Env().Sched().Force(r.mech.Key, attempt)
+	perturb(app.Env(), r.mech.Key, attempt)
 	return target
 }
 
@@ -447,10 +415,7 @@ func (r *ScopeReport) ClassRecall(class taxonomy.FaultClass, all bool) stats.Pro
 		if !all && m.TruthClass != class {
 			continue
 		}
-		p.N++
-		if m.ClassOK() {
-			p.Hits++
-		}
+		p.Add(m.ClassOK())
 	}
 	return p
 }
@@ -477,10 +442,7 @@ func (r *ScopeReport) EIUnderScope() stats.Proportion {
 		if m.TruthClass != taxonomy.ClassEnvIndependent {
 			continue
 		}
-		p.N++
-		if m.RungVerdict() == "under" {
-			p.Hits++
-		}
+		p.Add(m.RungVerdict() == "under")
 	}
 	return p
 }

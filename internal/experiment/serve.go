@@ -7,8 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"faultstudy/internal/apps/httpd"
-	"faultstudy/internal/apps/sqldb"
 	"faultstudy/internal/component"
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/obsv"
@@ -198,17 +196,16 @@ type ServeReport struct {
 func serveMechanisms() []faultinject.Mechanism {
 	reg := Registry()
 	var out []faultinject.Mechanism
-	for _, prefix := range []string{"httpd/", "sqldb/"} {
+	for _, k := range appKinds {
+		if k.category == nil {
+			continue
+		}
 		quota := map[taxonomy.FaultClass]int{
 			taxonomy.ClassEnvIndependent:           2,
 			taxonomy.ClassEnvDependentNonTransient: 1,
 			taxonomy.ClassEnvDependentTransient:    1,
 		}
-		for _, k := range reg.Keys() {
-			if !strings.HasPrefix(k, prefix) {
-				continue
-			}
-			m, _ := reg.Lookup(k)
+		for _, m := range reg.ByApp(k.app) {
 			if quota[m.Class()] <= 0 {
 				continue
 			}
@@ -238,30 +235,13 @@ func RunServe(cfg ServeConfig) (*ServeReport, error) {
 	}
 	mechs := serveMechanisms()
 	rungs := ServeRungs()
-	type shardOut struct {
-		arm ServeArm
-		tel *Telemetry
-	}
 	n := len(mechs) * len(rungs)
-	outs, err := parallel.MapOrdered(cfg.Workers, n, func(i int) (shardOut, error) {
-		var tel *Telemetry
-		if cfg.Telemetry != nil {
-			tel = NewTelemetry()
-		}
-		arm, err := runServeArm(cfg, i, mechs[i/len(rungs)], rungs[i%len(rungs)], tel)
-		return shardOut{arm: arm, tel: tel}, err
-	})
-	if err != nil {
-		return nil, err
-	}
 	rep := &ServeReport{Seed: cfg.Seed, Users: cfg.Users, Requests: cfg.Requests,
 		Arrival: cfg.Arrival, SLO: cfg.SLO, Arms: make([]ServeArm, 0, n)}
-	tels := make([]*Telemetry, 0, n)
-	for _, o := range outs {
-		rep.Arms = append(rep.Arms, o.arm)
-		tels = append(tels, o.tel)
-	}
-	if err := cfg.Telemetry.Merge(tels...); err != nil {
+	err := sweep(cfg.Workers, n, cfg.Telemetry, func(i int, tel *Telemetry) (ServeArm, error) {
+		return runServeArm(cfg, i, mechs[i/len(rungs)], rungs[i%len(rungs)], tel)
+	}, func(_ int, a ServeArm) { rep.Arms = append(rep.Arms, a) })
+	if err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -275,29 +255,19 @@ type serveApp interface {
 }
 
 // buildServeApp constructs the daemonized application and its scenario for
-// a mechanism. Only the componentized daemons serve open-loop traffic, so
-// only httpd/ and sqldb/ mechanisms are valid here.
-func buildServeApp(mechanism string, seed int64) (serveApp, faultinject.Scenario, error) {
-	switch {
-	case strings.HasPrefix(mechanism, "httpd/"):
-		env := simenv.New(seed, simenv.WithFDLimit(64), simenv.WithProcLimit(192))
-		srv := httpd.New(env, faultinject.NewSet(mechanism), httpd.Config{})
-		sc, ok := httpd.Scenarios(srv)[mechanism]
-		if !ok {
-			return nil, faultinject.Scenario{}, fmt.Errorf("experiment: no httpd scenario for %s", mechanism)
-		}
-		return httpd.Componentize(srv, component.NewStore()), sc, nil
-	case strings.HasPrefix(mechanism, "sqldb/"):
-		env := simenv.New(seed, simenv.WithFDLimit(64))
-		srv := sqldb.New(env, faultinject.NewSet(mechanism))
-		sc, ok := sqldb.Scenarios(srv)[mechanism]
-		if !ok {
-			return nil, faultinject.Scenario{}, fmt.Errorf("experiment: no sqldb scenario for %s", mechanism)
-		}
-		return sqldb.Componentize(srv, component.NewStore()), sc, nil
-	default:
-		return nil, faultinject.Scenario{}, fmt.Errorf("experiment: mechanism %q is not a daemon mechanism", mechanism)
+// a mechanism, plus the catalogue entry that names its arrivals' categories.
+// Only the daemons the catalogue marks as serving open-loop traffic (httpd/,
+// sqldb/) are valid here.
+func buildServeApp(mechanism string, seed int64) (*appKind, serveApp, faultinject.Scenario, error) {
+	k, err := appFor(mechanism)
+	if err != nil || k.category == nil {
+		return nil, nil, faultinject.Scenario{}, fmt.Errorf("experiment: mechanism %q is not a daemon mechanism", mechanism)
 	}
+	app, sc, err := k.scenario(mechanism, seed)
+	if err != nil {
+		return nil, nil, sc, err
+	}
+	return k, k.componentize(app).(serveApp), sc, nil
 }
 
 // serveRun is the per-arm state shared by the traffic loop and the episode
@@ -307,6 +277,7 @@ type serveRun struct {
 	mech     faultinject.Mechanism
 	rung     string
 	app      serveApp
+	category func(u float64) string // the arrival draw's operation-mix bucket
 	env      *simenv.Env
 	arm      *ServeArm
 	tel      *Telemetry
@@ -321,7 +292,7 @@ type serveRun struct {
 func runServeArm(cfg ServeConfig, armIdx int, mech faultinject.Mechanism, rung string, tel *Telemetry) (ServeArm, error) {
 	arm := ServeArm{Mechanism: mech.Key, App: mech.App, Class: mech.Class(), Rung: rung}
 	armSeed := parallel.Derive(cfg.Seed, uint64(armIdx))
-	app, sc, err := buildServeApp(mech.Key, armSeed)
+	k, app, sc, err := buildServeApp(mech.Key, armSeed)
 	if err != nil {
 		return arm, err
 	}
@@ -350,7 +321,7 @@ func runServeArm(cfg ServeConfig, armIdx int, mech faultinject.Mechanism, rung s
 	if err != nil {
 		return arm, fmt.Errorf("experiment: serve %s × %s: checkpoint: %w", mech.Key, rung, err)
 	}
-	run := &serveRun{cfg: cfg, mech: mech, rung: rung, app: app,
+	run := &serveRun{cfg: cfg, mech: mech, rung: rung, app: app, category: k.category,
 		env: app.Env(), arm: &arm, tel: tel, schedule: schedule,
 		base: app.Env().Monotonic(), cp: cp}
 	if tel != nil {
@@ -483,7 +454,7 @@ func (r *serveRun) record(arr traffic.Arrival, outcome, comp, errMsg string, lat
 	case traffic.OutcomeLost:
 		r.arm.Lost++
 	}
-	category := categoryFor(r.app, arr)
+	category := r.category(arr.U)
 	r.arm.Records = append(r.arm.Records, traffic.Record{
 		Seq: arr.Seq, User: arr.User, At: arr.At, Category: category,
 		Latency: latency, Outcome: outcome, Component: comp, Err: errMsg,
@@ -494,38 +465,6 @@ func (r *serveRun) record(arr traffic.Arrival, outcome, comp, errMsg string, lat
 		if outcome == traffic.OutcomeOK || outcome == traffic.OutcomeSlow {
 			r.tel.Registry.Histogram(MetricServeRequestLatency, obsv.RequestLatencyBuckets,
 				obsv.L("app", r.mech.App.String(), "rung", r.rung)...).ObserveDuration(latency)
-		}
-	}
-}
-
-// categoryFor names the operation-mix bucket an arrival's draw maps to,
-// without serving anything — pure threshold arithmetic mirroring the apps'
-// ServeArrival switch.
-func categoryFor(app serveApp, arr traffic.Arrival) string {
-	switch app.Name() {
-	case httpd.Owner:
-		switch {
-		case arr.U < 0.70:
-			return httpd.ServeStatic
-		case arr.U < 0.80:
-			return httpd.ServeListing
-		case arr.U < 0.90:
-			return httpd.ServeCGI
-		case arr.U < 0.95:
-			return httpd.ServeProxy
-		default:
-			return httpd.ServeNotFound
-		}
-	default:
-		switch {
-		case arr.U < 0.55:
-			return sqldb.ServeSelect
-		case arr.U < 0.75:
-			return sqldb.ServeInsert
-		case arr.U < 0.90:
-			return sqldb.ServeCount
-		default:
-			return sqldb.ServeUpdate
 		}
 	}
 }
@@ -608,31 +547,13 @@ func (r *serveRun) applyServeRung(attempt int) string {
 	switch r.rung {
 	case "retry":
 		// Perturb only.
-	case "microreboot":
+	case "microreboot", "subtree-reboot":
 		app.ContainCrash()
 		if name, ok := app.ComponentFor(r.mech.Key); ok {
 			target = name
-			tree := app.Tree()
-			if tree.Kill(name) == nil {
-				r.drainOutage(r.env.Monotonic() + tree.RebootCost(name))
-				_ = tree.Restart(name)
-			}
-		} else {
-			r.bounceProcess(false)
-		}
-	case "subtree-reboot":
-		app.ContainCrash()
-		if name, ok := app.ComponentFor(r.mech.Key); ok {
-			target = name
-			tree := app.Tree()
-			members := tree.SubtreeOf(name)
-			for i := len(members) - 1; i >= 0; i-- {
-				_ = tree.Kill(members[i])
-			}
-			r.drainOutage(r.env.Monotonic() + tree.SubtreeCost(name))
-			for _, m := range members {
-				_ = tree.Restart(m)
-			}
+			rebootComponent(app.Tree(), name, r.rung == "subtree-reboot", func(window time.Duration) {
+				r.drainOutage(r.env.Monotonic() + window)
+			})
 		} else {
 			r.bounceProcess(false)
 		}
@@ -641,9 +562,7 @@ func (r *serveRun) applyServeRung(attempt int) string {
 	case "restart":
 		r.bounceProcess(true)
 	}
-	r.env.Sched().UnforceAll()
-	r.env.Reroll()
-	r.env.Sched().Force(r.mech.Key, attempt)
+	perturb(r.env, r.mech.Key, attempt)
 	return target
 }
 
@@ -818,14 +737,6 @@ func (r *ServeReport) Check() error {
 	return nil
 }
 
-// serveMTTRCell renders a mean repair time ("-" when nothing recovered).
-func serveMTTRCell(d time.Duration) string {
-	if d == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.3fs", d.Seconds())
-}
-
 // String renders the class × rung aggregate and the headline.
 func (r *ServeReport) String() string {
 	var b strings.Builder
@@ -854,7 +765,7 @@ func (r *ServeReport) String() string {
 				fmt.Sprint(req), fmt.Sprint(good), fmt.Sprint(refused), fmt.Sprint(lost),
 				fmt.Sprintf("%.1fx", r.BurnBy(class, rung)),
 				fmt.Sprintf("%d/%d (%s)", gp.Hits, gp.N, gp.Percent()),
-				serveMTTRCell(r.MTTRBy(class, rung)))
+				mttrCell(r.MTTRBy(class, rung)))
 		}
 	}
 	b.WriteString(tbl.String())

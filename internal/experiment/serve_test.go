@@ -161,6 +161,23 @@ func TestServeMechanismSelection(t *testing.T) {
 			t.Fatalf("%s selection = %v, want 2 EI + 1 EDN + 1 EDT", ns, got)
 		}
 	}
+	// Only the daemons serve open-loop traffic: the desktop and the cache
+	// archetype are refused, as is an unknown namespace.
+	for _, tc := range []struct{ mechanism, err string }{
+		{"httpd/null-deref", ""},
+		{"sqldb/orderby-empty", ""},
+		{"desktop/illegal-owner", `experiment: mechanism "desktop/illegal-owner" is not a daemon mechanism`},
+		{"cache/empty-key-deref", `experiment: mechanism "cache/empty-key-deref" is not a daemon mechanism`},
+		{"kernel/unknown", `experiment: mechanism "kernel/unknown" is not a daemon mechanism`},
+	} {
+		_, _, _, err := buildServeApp(tc.mechanism, 1)
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("buildServeApp(%q): %v", tc.mechanism, err)
+		case tc.err != "" && (err == nil || err.Error() != tc.err):
+			t.Errorf("buildServeApp(%q) error = %v, want %q", tc.mechanism, err, tc.err)
+		}
+	}
 }
 
 // TestServeConfigDefaults pins the documented defaults and the

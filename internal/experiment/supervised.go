@@ -6,12 +6,7 @@ import (
 	"sort"
 	"strings"
 
-	"faultstudy/internal/apps/desktop"
-	"faultstudy/internal/apps/httpd"
-	"faultstudy/internal/apps/sqldb"
-	"faultstudy/internal/faultinject"
-	"faultstudy/internal/parallel"
-	"faultstudy/internal/recovery"
+	"faultstudy/internal/obsv"
 	"faultstudy/internal/simenv"
 	"faultstudy/internal/stats"
 	"faultstudy/internal/supervise"
@@ -63,55 +58,6 @@ func verdictOf(rep *supervise.Report) SupervisorVerdict {
 	}
 }
 
-// opKindFor classifies a scenario or workload op name for degraded-mode
-// shedding: conservative name-based heuristics per application namespace.
-func opKindFor(mechanism, name string) supervise.OpKind {
-	switch {
-	case strings.HasPrefix(mechanism, "httpd/"):
-		if strings.Contains(name, "/proxy/") || strings.Contains(name, "/cgi-bin/") ||
-			strings.Contains(name, "SIGHUP") || strings.Contains(name, "restart") {
-			return supervise.OpWrite
-		}
-		return supervise.OpRead
-	case strings.HasPrefix(mechanism, "sqldb/"):
-		if strings.HasPrefix(name, "SELECT") {
-			return supervise.OpRead
-		}
-		return supervise.OpWrite
-	case strings.HasPrefix(mechanism, "desktop/"):
-		if strings.Contains(name, "play-sound") || strings.Contains(name, "set-cell") {
-			return supervise.OpWrite
-		}
-		return supervise.OpRead
-	case strings.HasPrefix(mechanism, "cache/"):
-		if strings.HasPrefix(name, "SET") || strings.HasPrefix(name, "DEL") ||
-			strings.HasPrefix(name, "FLUSH") {
-			return supervise.OpWrite
-		}
-		return supervise.OpRead
-	default:
-		return supervise.OpRead
-	}
-}
-
-// wrapScenarioOps converts scenario trigger ops into supervised ops.
-func wrapScenarioOps(mechanism string, ops []faultinject.Op) []supervise.Op {
-	out := make([]supervise.Op, 0, len(ops))
-	for _, op := range ops {
-		out = append(out, supervise.Op{Name: op.Name, Kind: opKindFor(mechanism, op.Name), Do: op.Do})
-	}
-	return out
-}
-
-// AddSupervised runs every corpus fault's scenario under a supervisor and
-// records each verdict in the matrix, adding the paper-extension column that
-// compares supervision against the bare one-shot strategies. Each fault gets
-// a fresh environment and application, like the strategy runs. It is the
-// single-worker, no-telemetry case of AddSupervisedWorkers.
-func (m *Matrix) AddSupervised(seed int64, cfg supervise.Config) error {
-	return m.AddSupervisedWorkers(seed, cfg, nil, 1)
-}
-
 // HasSupervised reports whether the supervisor column has been filled in.
 func (m *Matrix) HasSupervised() bool {
 	for _, fo := range m.PerFault {
@@ -133,12 +79,8 @@ func (m *Matrix) SupervisedRate(class taxonomy.FaultClass) (p stats.Proportion, 
 		if class != taxonomy.ClassUnknown && fo.Class != class {
 			continue
 		}
-		p.N++
-		switch fo.Supervised {
-		case VerdictServed:
-			p.Hits++
-		case VerdictDegraded:
-			p.Hits++
+		p.Add(fo.Supervised != VerdictLost)
+		if fo.Supervised == VerdictDegraded {
 			degraded++
 		}
 	}
@@ -177,31 +119,6 @@ func (c SoakConfig) withDefaults() SoakConfig {
 		c.Supervise.Seed = c.Seed
 	}
 	return c
-}
-
-// workloadHook returns the workload-generation hook for the soak's telemetry,
-// as a properly nil interface when telemetry is disabled.
-func (c SoakConfig) workloadHook() workload.Hook {
-	if c.Telemetry == nil {
-		return nil
-	}
-	return c.Telemetry.workloadHook()
-}
-
-// workloadHTTP generates the web soak's base request stream, observed by the
-// telemetry's workload hook when one is attached.
-func workloadHTTP(cfg SoakConfig) []httpd.Request {
-	return workload.HTTPRequestsObserved(cfg.Seed, workload.DefaultHTTPMix(), cfg.Ops, cfg.workloadHook())
-}
-
-// workloadSQL generates the database soak's base statement stream, observed.
-func workloadSQL(cfg SoakConfig) []string {
-	return workload.SQLStatementsObserved(cfg.Seed, cfg.Ops, cfg.workloadHook())
-}
-
-// workloadDesktop generates the desktop soak's base event stream, observed.
-func workloadDesktop(cfg SoakConfig) []desktop.Event {
-	return workload.DesktopEventsObserved(cfg.Seed, cfg.Ops, cfg.workloadHook())
 }
 
 // SoakResult is one application's soak outcome.
@@ -249,104 +166,9 @@ func interleave(base []supervise.Op, triggers [][]supervise.Op, min int, rng *ra
 	return out
 }
 
-// soakApps is the fixed shard order of the soak: one shard per application,
-// in the presentation (and historical serial-execution) order.
-var soakApps = []taxonomy.Application{taxonomy.AppApache, taxonomy.AppMySQL, taxonomy.AppGnome}
-
-// soakInstance is what a per-app soak builder hands back to the generic
-// driver: the started application, its environment, the mechanism→scenario
-// catalogue, the base workload ops, and where trigger streams may be
-// interleaved from (the database keeps its schema-creating statements
-// first).
-type soakInstance struct {
-	app       recovery.Application
-	env       *simenv.Env
-	scenarios map[string]faultinject.Scenario
-	base      []supervise.Op
-	minAt     int
-}
-
-// buildSoakInstance constructs one application's soak instance: environment,
-// application with the chosen mechanisms seeded, and the base workload
-// stream (observed by cfg's telemetry hook, if any).
-func buildSoakInstance(cfg SoakConfig, app taxonomy.Application, mechs []string) (*soakInstance, error) {
-	inst := &soakInstance{}
-	switch app {
-	case taxonomy.AppApache:
-		inst.env = simenv.New(cfg.Seed, simenv.WithFDLimit(256), simenv.WithProcLimit(192))
-		srv := httpd.New(inst.env, faultinject.NewSet(mechs...), httpd.Config{})
-		inst.app = srv
-		inst.scenarios = httpd.Scenarios(srv)
-		for _, req := range workloadHTTP(cfg) {
-			req := req
-			name := req.Method + " " + req.Path
-			inst.base = append(inst.base, supervise.Op{Name: name, Kind: opKindFor("httpd/", name), Do: func() error {
-				_, err := srv.Serve(req)
-				return err
-			}})
-		}
-	case taxonomy.AppMySQL:
-		inst.env = simenv.New(cfg.Seed, simenv.WithFDLimit(256))
-		db := sqldb.New(inst.env, faultinject.NewSet(mechs...))
-		inst.app = db
-		inst.scenarios = sqldb.Scenarios(db)
-		for _, stmt := range workloadSQL(cfg) {
-			stmt := stmt
-			inst.base = append(inst.base, supervise.Op{Name: stmt, Kind: opKindFor("sqldb/", stmt), Do: func() error {
-				_, err := db.Exec(stmt)
-				return err
-			}})
-		}
-		// Keep the schema-creating statements first.
-		inst.minAt = 2
-	case taxonomy.AppGnome:
-		inst.env = simenv.New(cfg.Seed, simenv.WithFDLimit(256))
-		d := desktop.New(inst.env, faultinject.NewSet(mechs...))
-		inst.app = d
-		inst.scenarios = desktop.Scenarios(d)
-		for _, ev := range workloadDesktop(cfg) {
-			ev := ev
-			name := ev.Widget + " " + ev.Action
-			inst.base = append(inst.base, supervise.Op{Name: name, Kind: opKindFor("desktop/", name), Do: func() error {
-				return d.Dispatch(ev)
-			}})
-		}
-	default:
-		return nil, fmt.Errorf("experiment: soak: unknown application %v", app)
-	}
-	return inst, nil
-}
-
-// runSoakApp drives one application's soak shard end to end: start, stage
-// the chosen mechanisms, interleave their trigger ops into the base
-// workload, and supervise the whole stream. Everything it does is a pure
-// function of (cfg, app, rng state, mechs); it shares no state with other
-// shards.
-func runSoakApp(cfg SoakConfig, app taxonomy.Application, rng *rand.Rand, mechs []string) (*supervise.Report, error) {
-	inst, err := buildSoakInstance(cfg, app, mechs)
-	if err != nil {
-		return nil, err
-	}
-	if err := inst.app.Start(); err != nil {
-		return nil, fmt.Errorf("experiment: soak start: %w", err)
-	}
-	var triggers [][]supervise.Op
-	for _, mech := range mechs {
-		sc, ok := inst.scenarios[mech]
-		if !ok {
-			continue
-		}
-		if sc.Stage != nil {
-			sc.Stage()
-		}
-		triggers = append(triggers, wrapScenarioOps(mech, sc.Ops))
-	}
-	supCfg, obs := cfg.Telemetry.superviseConfig(cfg.Supervise, soakContext(app))
-	sup := supervise.New(inst.app, supCfg)
-	rep, err := sup.Run(interleave(inst.base, triggers, inst.minAt, rng))
-	obs.Flush(inst.env.Monotonic())
-	return rep, err
-}
+// soakFDLimit is the soak's descriptor table: roomier than the scenario
+// sizing, because the sustained base workload holds descriptors of its own.
+const soakFDLimit = 256
 
 // RunSoak drives all three applications under sustained workload with a
 // random subset of their seeded bugs active — the supervision layer's
@@ -355,39 +177,65 @@ func runSoakApp(cfg SoakConfig, app taxonomy.Application, rng *rand.Rand, mechs 
 // ops are interleaved into the base workload at random positions, and the
 // supervisor keeps the service running as they fire. Deterministic in Seed.
 //
-// The three applications are independent shards run on a pool of
-// cfg.Workers workers (0 means one per processor): each shard draws its
-// randomness from a source seeded only by (Seed, app) and records into a
-// private telemetry, and the shards are reduced in fixed application order —
-// so reports, traces, and metric dumps are byte-identical at every worker
-// count.
+// The applications are independent arms run on a pool of cfg.Workers
+// workers (0 means one per processor): each draws its randomness from a
+// source seeded only by (Seed, app) and records into a private telemetry,
+// and the arms are folded in fixed application order — so reports, traces,
+// and metric dumps are byte-identical at every worker count.
 func RunSoak(cfg SoakConfig) ([]SoakResult, error) {
 	cfg = cfg.withDefaults()
-	results := make([]SoakResult, len(soakApps))
-	shardTels := make([]*Telemetry, len(soakApps))
-	err := parallel.ForEach(cfg.Workers, len(soakApps), func(i int) error {
-		app := soakApps[i]
-		shardCfg := cfg
-		if cfg.Telemetry != nil {
-			shardTels[i] = NewTelemetry()
-			shardCfg.Telemetry = shardTels[i]
+	var kinds []*appKind
+	for _, k := range appKinds {
+		if k.soak != nil {
+			kinds = append(kinds, k)
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(app)))
-		mechs := pickMechanisms(app, cfg.Faults, rng)
-		rep, err := runSoakApp(shardCfg, app, rng, mechs)
-		if err != nil {
-			return err
-		}
-		results[i] = SoakResult{App: app, Mechanisms: mechs, Report: rep}
-		return nil
-	})
+	}
+	results := make([]SoakResult, 0, len(kinds))
+	err := sweep(cfg.Workers, len(kinds), cfg.Telemetry, func(i int, tel *Telemetry) (SoakResult, error) {
+		return runSoakApp(cfg, kinds[i], tel)
+	}, func(_ int, r SoakResult) { results = append(results, r) })
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Telemetry.Merge(shardTels...); err != nil {
-		return nil, err
-	}
 	return results, nil
+}
+
+// runSoakApp drives one application's soak arm end to end: pick the
+// mechanisms, build, start, stage them, interleave their trigger ops into
+// the base workload, and supervise the whole stream. Everything it does is a
+// pure function of (cfg, app); it shares no state with other arms.
+func runSoakApp(cfg SoakConfig, k *appKind, tel *Telemetry) (SoakResult, error) {
+	rng := rand.New(rand.NewSource(cfg.Seed + int64(k.app)))
+	mechs := pickMechanisms(k.app, cfg.Faults, rng)
+	res := SoakResult{App: k.app, Mechanisms: mechs}
+	env := append(k.env[:len(k.env):len(k.env)], simenv.WithFDLimit(soakFDLimit))
+	app, scenarios := k.instance(cfg.Seed, env, mechs...)
+	var hook workload.Hook // a typed-nil hook would defeat the generators' nil checks
+	if tel != nil {
+		hook = &obsv.WorkloadHook{Registry: tel.Registry}
+	}
+	base := k.wrapOps(k.soak(app, cfg.Seed, cfg.Ops, hook))
+	if err := app.Start(); err != nil {
+		return res, fmt.Errorf("experiment: soak start: %w", err)
+	}
+	var triggers [][]supervise.Op
+	for _, mech := range mechs {
+		sc, ok := scenarios[mech]
+		if !ok {
+			continue
+		}
+		if sc.Stage != nil {
+			sc.Stage()
+		}
+		triggers = append(triggers, k.wrapOps(sc.Ops))
+	}
+	// A soak run hosts several mechanisms of different classes at once, so
+	// episodes take their class labels from the mechanism catalogue.
+	supCfg, obs := tel.superviseConfig(cfg.Supervise, obsv.Context{App: k.app.String(), ClassFor: ClassFor})
+	rep, err := supervise.New(app, supCfg).Run(interleave(base, triggers, k.soakMinAt, rng))
+	obs.Flush(app.Env().Monotonic())
+	res.Report = rep
+	return res, err
 }
 
 // RenderSoak formats the soak results, one report per application.

@@ -10,14 +10,14 @@ import (
 )
 
 func TestSupervisedColumn(t *testing.T) {
-	m, err := RunMatrix(recovery.Policy{}, 42)
+	m, err := RunMatrix(recovery.Policy{}, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.HasSupervised() {
 		t.Fatal("fresh matrix should have no supervised column")
 	}
-	if err := m.AddSupervised(42, supervise.Config{GrowResources: true}); err != nil {
+	if err := m.AddSupervised(42, supervise.Config{GrowResources: true}, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !m.HasSupervised() {

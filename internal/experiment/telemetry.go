@@ -5,7 +5,6 @@ import (
 
 	"faultstudy/internal/obsv"
 	"faultstudy/internal/supervise"
-	"faultstudy/internal/taxonomy"
 )
 
 // Telemetry bundles the observability sinks one experiment run writes into: a
@@ -23,16 +22,6 @@ func NewTelemetry() *Telemetry {
 	return &Telemetry{Registry: obsv.NewRegistry(), Recorder: obsv.NewRecorder()}
 }
 
-// ClassFor resolves a mechanism key to its EI/EDN/EDT short class name via
-// the mechanism catalogue, or "?" for keys outside it (the supervisor's
-// pseudo-mechanisms).
-func ClassFor(mechanism string) string {
-	if m, ok := Registry().Lookup(mechanism); ok {
-		return m.Class().Short()
-	}
-	return "?"
-}
-
 // observer builds a bridge observer writing into the telemetry sinks under
 // the given identity, or nil when telemetry is disabled.
 func (t *Telemetry) observer(ctx obsv.Context) *obsv.Observer {
@@ -40,15 +29,6 @@ func (t *Telemetry) observer(ctx obsv.Context) *obsv.Observer {
 		return nil
 	}
 	return obsv.NewObserver(t.Registry, t.Recorder, ctx)
-}
-
-// workloadHook returns the workload-generation hook, or nil when telemetry is
-// disabled (a typed-nil Hook would defeat the generators' nil checks).
-func (t *Telemetry) workloadHook() *obsv.WorkloadHook {
-	if t == nil {
-		return nil
-	}
-	return &obsv.WorkloadHook{Registry: t.Registry}
 }
 
 // Episodes returns the recorded fault episodes (nil when disabled).
@@ -80,14 +60,6 @@ func (t *Telemetry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	return t.Registry.WritePrometheus(w)
-}
-
-// WriteMetricsJSON writes the metrics registry as JSON.
-func (t *Telemetry) WriteMetricsJSON(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	return t.Registry.WriteJSON(w)
 }
 
 // superviseConfig returns cfg with its trace hook chained through an observer
@@ -122,20 +94,4 @@ func (t *Telemetry) Merge(shards ...*Telemetry) error {
 		t.Recorder.Append(s.Recorder.Episodes()...)
 	}
 	return nil
-}
-
-// AddSupervisedObserved is AddSupervised with telemetry: every fault's
-// supervised run is observed under its corpus identity (application, fault
-// ID, oracle class), so the recorded episodes carry the labels the per-class
-// summary keys on. A nil telemetry makes it identical to AddSupervised. It
-// is the single-worker case of AddSupervisedWorkers.
-func (m *Matrix) AddSupervisedObserved(seed int64, cfg supervise.Config, t *Telemetry) error {
-	return m.AddSupervisedWorkers(seed, cfg, t, 1)
-}
-
-// soakContext is the observer identity for one soak application: class labels
-// come from the mechanism catalogue because a soak run hosts several
-// mechanisms of different classes at once.
-func soakContext(app taxonomy.Application) obsv.Context {
-	return obsv.Context{App: app.String(), ClassFor: ClassFor}
 }

@@ -87,13 +87,13 @@ func TestSoakTelemetryOffMatchesOn(t *testing.T) {
 // observed supervised column equals the unobserved one and the telemetry
 // carries per-fault identities.
 func TestSupervisedObservedFillsMatrixAndEpisodes(t *testing.T) {
-	m1, err := RunMatrix(recovery.Policy{}, 5)
+	m1, err := RunMatrix(recovery.Policy{}, 5, 1)
 	if err != nil {
 		t.Fatalf("matrix: %v", err)
 	}
 	tel := NewTelemetry()
-	if err := m1.AddSupervisedObserved(5, supervise.Config{GrowResources: true}, tel); err != nil {
-		t.Fatalf("AddSupervisedObserved: %v", err)
+	if err := m1.AddSupervised(5, supervise.Config{GrowResources: true}, tel, 1); err != nil {
+		t.Fatalf("AddSupervised: %v", err)
 	}
 	if !m1.HasSupervised() {
 		t.Fatal("supervised column not filled")

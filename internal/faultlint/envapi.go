@@ -30,16 +30,6 @@ type EnvOp struct {
 	Trigger taxonomy.TriggerKind
 }
 
-// AsEnvOp recognizes a call against the simulated environment
-// (x.FDs().Open(...), s.env.Hostname()) and resolves its trigger kind.
-func AsEnvOp(call *ast.CallExpr) (EnvOp, bool) {
-	ec, ok := asEnvCall(call)
-	if !ok {
-		return EnvOp{}, false
-	}
-	return EnvOp{Facility: ec.Facility, Method: ec.Method, Pos: ec.Pos, Trigger: envCallTrigger(ec)}, true
-}
-
 // EnvOpsIn gathers every recognized environment operation inside a subtree,
 // in source order.
 func EnvOpsIn(n ast.Node) []EnvOp {

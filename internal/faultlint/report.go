@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"faultstudy/internal/taxonomy"
 )
 
 // JSONSchemaVersion identifies the report wire format. The documented schema
@@ -128,15 +126,4 @@ func RenderText(r *Result, verbose bool) string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-// ClassCounts tallies active findings per predicted class, in table order.
-func ClassCounts(r *Result) map[taxonomy.FaultClass]int {
-	out := make(map[taxonomy.FaultClass]int)
-	for _, d := range r.Diagnostics {
-		if !d.Suppressed {
-			out[d.Class]++
-		}
-	}
-	return out
 }

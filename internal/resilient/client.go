@@ -144,48 +144,6 @@ func PolicyByName(name string) (Policy, error) {
 	}
 }
 
-// Event kinds emitted to the trace hook.
-const (
-	// EventSuccess is a request served (possibly after retries).
-	EventSuccess = "success"
-	// EventAttemptFail is one failed attempt (transport error, retryable
-	// status, timeout, or truncation).
-	EventAttemptFail = "attempt-fail"
-	// EventRetry is a backoff-paced retry about to be made; Delay carries
-	// the wait.
-	EventRetry = "retry"
-	// EventHedge is an immediate hedged re-attempt after a slow failure.
-	EventHedge = "hedge"
-	// EventFastFail is a request declined by an open breaker.
-	EventFastFail = "fast-fail"
-	// EventBudgetDeny is a retry suppressed by the exhausted budget.
-	EventBudgetDeny = "budget-deny"
-	// EventGiveUp is a request abandoned with attempts exhausted.
-	EventGiveUp = "give-up"
-	// EventBreakerOpen is a host breaker newly opening.
-	EventBreakerOpen = "breaker-open"
-)
-
-// Event is one client decision, delivered to the trace hook.
-type Event struct {
-	// Kind is one of the Event* constants.
-	Kind string
-	// URL is the request URL.
-	URL string
-	// Host is the request host (the breaker key).
-	Host string
-	// Attempt is the attempt number the event belongs to (1-based).
-	Attempt int
-	// Status is the HTTP status observed, when one was.
-	Status int
-	// Err is the failure observed, when one was.
-	Err error
-	// At is the clock reading at the event.
-	At time.Duration
-	// Delay is the wait chosen for retry events.
-	Delay time.Duration
-}
-
 // Stats are the client's cumulative counters.
 type Stats struct {
 	// Requests counts RoundTrip calls admitted past the breaker.
@@ -219,7 +177,6 @@ type Client struct {
 	clock   Clock
 	breaker *Breaker
 	budget  *Budget
-	trace   func(Event)
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -244,9 +201,6 @@ func WithBreaker(b *Breaker) Option { return func(c *Client) { c.breaker = b } }
 
 // WithBudget shares a retry budget across clients.
 func WithBudget(b *Budget) Option { return func(c *Client) { c.budget = b } }
-
-// WithTrace installs the event hook.
-func WithTrace(fn func(Event)) Option { return func(c *Client) { c.trace = fn } }
 
 // New builds a client for the policy. A breaker and budget are created from
 // the policy's parameters unless shared ones are injected.
@@ -288,13 +242,6 @@ func (c *Client) count(f func(*Stats)) {
 	c.mu.Unlock()
 }
 
-// emit delivers an event to the trace hook, if any.
-func (c *Client) emit(ev Event) {
-	if c.trace != nil {
-		c.trace(ev)
-	}
-}
-
 // retryableStatus reports whether a status code indicates a fault worth
 // retrying: server errors, throttling, and request timeout.
 func retryableStatus(code int) bool {
@@ -312,7 +259,6 @@ func (c *Client) RoundTrip(req *http.Request) (*http.Response, error) {
 
 	if c.breaker != nil && !c.breaker.Allow(host, c.clock.Now()) {
 		c.count(func(s *Stats) { s.FastFails++ })
-		c.emit(Event{Kind: EventFastFail, URL: urlStr, Host: host, At: c.clock.Now()})
 		return nil, fmt.Errorf("resilient: %s: %w", host, ErrBreakerOpen)
 	}
 	c.budget.Deposit()
@@ -327,22 +273,12 @@ func (c *Client) RoundTrip(req *http.Request) (*http.Response, error) {
 		if err == nil && !retryableStatus(resp.StatusCode) {
 			c.breaker.Success(host)
 			c.count(func(s *Stats) { s.Successes++ })
-			c.emit(Event{Kind: EventSuccess, URL: urlStr, Host: host, Attempt: attempt,
-				Status: resp.StatusCode, At: c.clock.Now()})
 			return resp, nil
 		}
 
 		// Failed attempt: transport error, timeout, truncation, or a
 		// retryable status.
-		status := 0
-		if err == nil {
-			status = resp.StatusCode
-		}
-		if opened := c.breaker.Failure(host, c.clock.Now()); opened {
-			c.emit(Event{Kind: EventBreakerOpen, URL: urlStr, Host: host, Attempt: attempt, At: c.clock.Now()})
-		}
-		c.emit(Event{Kind: EventAttemptFail, URL: urlStr, Host: host, Attempt: attempt,
-			Status: status, Err: err, At: c.clock.Now()})
+		c.breaker.Failure(host, c.clock.Now())
 		if ctx.Err() != nil {
 			closeResp(resp)
 			return nil, ctx.Err()
@@ -350,8 +286,6 @@ func (c *Client) RoundTrip(req *http.Request) (*http.Response, error) {
 
 		if attempt >= c.policy.MaxAttempts {
 			c.count(func(s *Stats) { s.GiveUps++ })
-			c.emit(Event{Kind: EventGiveUp, URL: urlStr, Host: host, Attempt: attempt,
-				Status: status, Err: err, At: c.clock.Now()})
 			if err == nil {
 				return resp, nil // the caller sees the real retryable status
 			}
@@ -366,13 +300,11 @@ func (c *Client) RoundTrip(req *http.Request) (*http.Response, error) {
 		if hedged {
 			closeResp(resp)
 			c.count(func(s *Stats) { s.Hedges++ })
-			c.emit(Event{Kind: EventHedge, URL: urlStr, Host: host, Attempt: attempt, At: c.clock.Now()})
 			continue
 		}
 
 		if !c.budget.Withdraw() {
 			c.count(func(s *Stats) { s.BudgetDenied++ })
-			c.emit(Event{Kind: EventBudgetDeny, URL: urlStr, Host: host, Attempt: attempt, At: c.clock.Now()})
 			if err == nil {
 				return resp, nil
 			}
@@ -387,8 +319,6 @@ func (c *Client) RoundTrip(req *http.Request) (*http.Response, error) {
 			c.count(func(s *Stats) { s.RetryAfterWaits++ })
 		}
 		closeResp(resp)
-		c.emit(Event{Kind: EventRetry, URL: urlStr, Host: host, Attempt: attempt,
-			At: c.clock.Now(), Delay: delay})
 		if err := c.clock.Sleep(ctx, delay); err != nil {
 			return nil, err
 		}

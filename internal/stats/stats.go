@@ -20,6 +20,14 @@ type Proportion struct {
 	N int
 }
 
+// Add counts one trial, a hit when hit is set.
+func (p *Proportion) Add(hit bool) {
+	p.N++
+	if hit {
+		p.Hits++
+	}
+}
+
 // Value returns the ratio (0 when N is 0).
 func (p Proportion) Value() float64 {
 	if p.N == 0 {
