@@ -3,7 +3,6 @@ package simenv
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -51,7 +50,6 @@ func (m DNSMode) String() string {
 // is fixed" without any action by the recovering application.
 type DNS struct {
 	mu        sync.Mutex
-	rng       *rand.Rand
 	mode      DNSMode
 	healIn    time.Duration // time until mode returns to healthy; 0 = stable
 	forward   map[string]string
@@ -60,9 +58,8 @@ type DNS struct {
 	slowDelay time.Duration
 }
 
-func newDNS(rng *rand.Rand) *DNS {
+func newDNS() *DNS {
 	return &DNS{
-		rng:       rng,
 		mode:      DNSHealthy,
 		forward:   make(map[string]string),
 		reverse:   make(map[string]string),

@@ -43,8 +43,12 @@ func (s ProcState) String() string {
 
 // Proc is one process-table entry.
 type Proc struct {
-	PID   PID
+	// PID is the process identifier, unique for the table's lifetime.
+	PID PID
+	// Owner names the application the process belongs to; KillOwner and
+	// Env.ReclaimOwner free its slots by this name.
 	Owner string
+	// State is whether the process runs, hangs or waits to be reaped.
 	State ProcState
 }
 
@@ -62,7 +66,7 @@ func newProcTable(limit int) *ProcTable {
 	return &ProcTable{
 		limit: limit,
 		next:  2, // PID 1 is init
-		procs: make(map[PID]*Proc, limit),
+		procs: make(map[PID]*Proc),
 	}
 }
 
