@@ -135,7 +135,7 @@ func (a *RejuvenationAblation) String() string {
 			label = "never"
 		}
 		p := a.Intervals[k]
-		tbl.Add(label, fmt.Sprintf("%d/%d (%s)", p.Hits, p.N, p.Percent()))
+		tbl.Add(label, fractionCell(p.Hits, p.N))
 	}
 	return "Rejuvenation sweep over resource-accumulation faults:\n" + tbl.String()
 }

@@ -328,34 +328,42 @@ type componentApp interface {
 	component.Host
 }
 
-// mrebootDriver binds a componentized application to its background
-// workload: warm establishes the sessions and state the workload uses, and
-// bg serves the i-th background arrival through the component routing.
-type mrebootDriver struct {
-	app  componentApp
-	warm func()
-	bg   func(i int) error
+// componentDriver binds a componentized application to its background
+// workload: bg serves the i-th background arrival through the component
+// routing.
+type componentDriver struct {
+	app componentApp
+	bg  func(i int) error
 }
 
-// buildComponentized constructs the componentized application, its scenario,
-// and the background-workload driver for a mechanism. Warmup errors are
-// tolerated (a seeded bug may fire during warmup; the workload then reports
-// it), with crashes contained so staging still runs against a live process.
-func buildComponentized(mechanism string, seed int64) (*mrebootDriver, faultinject.Scenario, error) {
-	k, err := appFor(mechanism)
+// startComponentArm is the arm setup MREBOOT and SCOPE share: it builds the
+// componentized application for mech with its scenario and background
+// driver, starts it, warms it, and stages the mechanism's environmental
+// precondition. Warmup errors are tolerated (a seeded bug may fire during
+// warmup; the workload then reports it), with crashes contained so staging
+// still runs against a live process. exp and rung name the arm in errors.
+func startComponentArm(exp, rung string, mech faultinject.Mechanism, seed int64) (*componentDriver, faultinject.Scenario, error) {
+	k, err := appFor(mech.Key)
 	if err == nil && k.drive == nil {
-		err = fmt.Errorf("experiment: mechanism %q has no component driver", mechanism)
+		err = fmt.Errorf("experiment: mechanism %q has no component driver", mech.Key)
 	}
 	if err != nil {
 		return nil, faultinject.Scenario{}, err
 	}
-	app, sc, err := k.scenario(mechanism, seed)
+	app, sc, err := k.scenario(mech.Key, seed)
 	if err != nil {
 		return nil, sc, err
 	}
 	c := k.componentize(app)
 	warm, bg := k.drive(c)
-	return &mrebootDriver{app: c, warm: warm, bg: bg}, sc, nil
+	if err := c.Start(); err != nil {
+		return nil, sc, fmt.Errorf("experiment: %s %s × %s: start: %w", exp, mech.Key, rung, err)
+	}
+	warm()
+	if sc.Stage != nil {
+		sc.Stage()
+	}
+	return &componentDriver{app: c, bg: bg}, sc, nil
 }
 
 // tolerate runs a warmup step, containing any crash it causes so the arm

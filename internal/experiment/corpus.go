@@ -171,8 +171,10 @@ type CorpusReport struct {
 	EpisodeStats []CorpusEpisodeStat
 	// GOF holds every sampled dimension's goodness-of-fit test.
 	GOF []corpusgen.GOFResult
-	// DriftBand and MinAgreement are the gates the report checks against.
-	DriftBand    float64
+	// DriftBand is the per-class drift gate the report checks against.
+	DriftBand float64
+	// MinAgreement is the classifier-agreement gate the report checks
+	// against.
 	MinAgreement float64
 	// SitePages is the synthetic PR site's total page count; SiteCrawled and
 	// SiteGaps are the crawl sample's outcomes; MinSitePages is the gate.

@@ -3,7 +3,9 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"faultstudy/internal/recovery"
@@ -167,4 +169,56 @@ func firstDiff(a, b []byte) string {
 		hiB = len(b)
 	}
 	return fmt.Sprintf("first difference at byte %d\n--- a\n…%s…\n--- b\n…%s…", at, a[lo:hiA], b[lo:hiB])
+}
+
+// seedRun is one experiment run at seed 42 with telemetry attached: the
+// report, the telemetry, and everything the run produced rendered as one
+// string (the report, then the trace, timeline, and metric dumps).
+type seedRun[R any] struct {
+	rep  R
+	tel  *Telemetry
+	dump string
+}
+
+// newSeedRun renders a finished run: head (the report and any
+// experiment-specific artifact) followed by the telemetry dumps.
+func newSeedRun[R any](rep R, tel *Telemetry, head string) (seedRun[R], error) {
+	var b bytes.Buffer
+	b.WriteString(head)
+	for _, write := range []func(io.Writer) error{tel.WriteTrace, tel.WriteTimeline, tel.WritePrometheus} {
+		if err := write(&b); err != nil {
+			return seedRun[R]{}, err
+		}
+	}
+	return seedRun[R]{rep: rep, tel: tel, dump: b.String()}, nil
+}
+
+// memoSerial runs an experiment's workers-1 seed-42 run once per test
+// binary and hands the same run to every test that asks. Tests only read it.
+func memoSerial[R any](run func(workers int) (seedRun[R], error)) func(t *testing.T) seedRun[R] {
+	once := sync.OnceValues(func() (seedRun[R], error) { return run(1) })
+	return func(t *testing.T) seedRun[R] {
+		t.Helper()
+		r, err := once()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+}
+
+// assertWorkerInvariant is the determinism contract for one experiment: the
+// run at 2 and 8 workers renders byte-identically to the serial run.
+func assertWorkerInvariant[R any](t *testing.T, serial seedRun[R], run func(workers int) (seedRun[R], error)) {
+	t.Helper()
+	for _, workers := range workerArms[1:] {
+		got, err := run(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.dump != serial.dump {
+			t.Fatalf("output at %d workers differs from the serial run:\n%s",
+				workers, firstDiff([]byte(serial.dump), []byte(got.dump)))
+		}
+	}
 }

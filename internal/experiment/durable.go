@@ -133,12 +133,7 @@ type DurableArm struct {
 
 // MTTR is the arm's mean time to repair over recovered episodes (0 when
 // nothing recovered).
-func (a DurableArm) MTTR() time.Duration {
-	if a.RecoveredEpisodes == 0 {
-		return 0
-	}
-	return a.MTTRTotal / time.Duration(a.RecoveredEpisodes)
-}
+func (a DurableArm) MTTR() time.Duration { return meanRepair(a.MTTRTotal, a.RecoveredEpisodes) }
 
 // DurableReport is the assembled experiment, arms in fixed order.
 type DurableReport struct {

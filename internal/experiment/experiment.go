@@ -12,6 +12,7 @@ package experiment
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"faultstudy/internal/classify"
 	"faultstudy/internal/corpus"
@@ -129,3 +130,26 @@ func (a *Aggregate) String() string {
 
 // classifyDefaults returns the study's classifier configuration.
 func classifyDefaults() classify.Options { return classify.Options{} }
+
+// fractionCell renders hits out of n with its percentage.
+func fractionCell(hits, n int) string {
+	return fmt.Sprintf("%d/%d (%s)", hits, n, stats.Proportion{Hits: hits, N: n}.Percent())
+}
+
+// meanRepair is the mean time to repair over n recovered episodes (0 when
+// nothing recovered).
+func meanRepair(total time.Duration, n int) time.Duration {
+	if n == 0 {
+		return 0
+	}
+	return total / time.Duration(n)
+}
+
+// mttrCell renders a mean repair time ("-" when nothing recovered, or the
+// repair took no virtual time).
+func mttrCell(d time.Duration) string {
+	if d == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.3fs", d.Seconds())
+}

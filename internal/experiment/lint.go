@@ -32,6 +32,7 @@ var lintAppDirs = map[taxonomy.Application]string{
 
 // ClassScore accumulates the confusion tallies for one fault class.
 type ClassScore struct {
+	// Class is the fault class the tallies are for.
 	Class taxonomy.FaultClass
 	// TP counts mechanisms of this truth class that faultlint predicted as
 	// this class at some raise site.
@@ -62,7 +63,10 @@ func (s ClassScore) Recall() float64 {
 
 // LintApp is the per-application slice of the validation.
 type LintApp struct {
+	// App is the application the slice covers.
 	App taxonomy.Application
+	// Dir is the application's source directory, relative to the module
+	// root.
 	Dir string
 	// Sites is the number of envsite diagnostics with attributed mechanisms.
 	Sites int
@@ -88,17 +92,21 @@ func (a *LintApp) TruePositives() int {
 
 // LintReport is the full validation result.
 type LintReport struct {
+	// Root is the module root the application sources were loaded from.
 	Root string
 	// Result is the raw analyzer output over the three application packages.
 	Result *faultlint.Result
-	Apps   []LintApp
+	// Apps holds the per-application slices, in taxonomy.Applications order.
+	Apps []LintApp
 	// Total aggregates the per-app scores, in taxonomy.Classes order.
 	Total []ClassScore
 	// PredictedEI is faultlint's predicted environment-independent share
-	// over mechanisms it attributed; TruthEI is the registry's share. The
-	// paper's per-application EI range is 72–87%.
+	// over mechanisms it attributed. The paper's per-application EI range is
+	// 72–87%.
 	PredictedEI stats.Proportion
-	TruthEI     stats.Proportion
+	// TruthEI is the registry's environment-independent share over every
+	// mechanism of the three applications.
+	TruthEI stats.Proportion
 }
 
 // ModuleRoot locates the module root by walking up from the working

@@ -2,57 +2,41 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"faultstudy/internal/taxonomy"
 )
 
-// mrebootDump renders everything a MREBOOT run produces: the report and the
-// telemetry trace, timeline, and metric dumps.
-func mrebootDump(t *testing.T, workers int) string {
-	t.Helper()
+// runMReboot42 runs MREBOOT at seed 42 with telemetry attached.
+func runMReboot42(workers int) (seedRun[*MRebootReport], error) {
 	tel := NewTelemetry()
 	rep, err := RunMReboot(MRebootConfig{Seed: 42, Telemetry: tel, Workers: workers})
 	if err != nil {
-		t.Fatalf("RunMReboot(workers=%d): %v", workers, err)
+		return seedRun[*MRebootReport]{}, fmt.Errorf("RunMReboot(workers=%d): %w", workers, err)
 	}
-	var b bytes.Buffer
-	b.WriteString(rep.String())
-	if err := tel.WriteTrace(&b); err != nil {
-		t.Fatalf("WriteTrace: %v", err)
-	}
-	if err := tel.WriteTimeline(&b); err != nil {
-		t.Fatalf("WriteTimeline: %v", err)
-	}
-	if err := tel.WritePrometheus(&b); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	return b.String()
+	return newSeedRun(rep, tel, rep.String())
 }
+
+// mrebootSerial is the serial MREBOOT run every test below reads.
+var mrebootSerial = memoSerial(runMReboot42)
 
 // TestMRebootWorkerInvariance is the determinism contract: every report,
 // trace, timeline, and metrics dump of the MREBOOT sweep is byte-identical
 // at 1, 2, and 8 workers.
 func TestMRebootWorkerInvariance(t *testing.T) {
-	serial := mrebootDump(t, 1)
-	for _, workers := range []int{2, 8} {
-		if got := mrebootDump(t, workers); got != serial {
-			t.Fatalf("MREBOOT output at %d workers differs from serial run", workers)
-		}
-	}
+	assertWorkerInvariant(t, mrebootSerial(t), runMReboot42)
 }
 
-// TestMRebootGate runs the sweep once and asserts the CI gate plus the
-// mechanics behind it: microreboot strictly beats process restart on
-// EI requests lost, repairs faster wherever both recovered, reboots
-// components only under the microreboot policy, and is the only policy
-// that serves anything during an outage.
+// TestMRebootGate asserts the CI gate plus the mechanics behind it on the
+// serial run: microreboot strictly beats process restart on EI requests
+// lost, repairs faster wherever both recovered, reboots components only
+// under the microreboot policy, and is the only policy that serves anything
+// during an outage.
 func TestMRebootGate(t *testing.T) {
-	rep, err := RunMReboot(MRebootConfig{Seed: 42, Workers: 0})
-	if err != nil {
-		t.Fatalf("RunMReboot: %v", err)
-	}
+	rep := mrebootSerial(t).rep
 	if err := rep.Check(); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -61,8 +45,7 @@ func TestMRebootGate(t *testing.T) {
 	}
 
 	ei := taxonomy.ClassEnvIndependent
-	microLost, _ := rep.LostBy(ei, "microreboot")
-	restartLost, _ := rep.LostBy(ei, "restart")
+	microLost, restartLost := rep.cell(ei, "microreboot").Lost, rep.cell(ei, "restart").Lost
 	if microLost >= restartLost {
 		t.Fatalf("EI requests lost: microreboot %d, restart %d — want strict win", microLost, restartLost)
 	}
@@ -99,7 +82,7 @@ func TestMRebootGate(t *testing.T) {
 	}
 
 	for _, class := range taxonomy.Classes() {
-		micro, restart := rep.MTTRBy(class, "microreboot"), rep.MTTRBy(class, "restart")
+		micro, restart := rep.cell(class, "microreboot").MTTR(), rep.cell(class, "restart").MTTR()
 		if micro > 0 && restart > 0 && micro >= restart {
 			t.Fatalf("%s MTTR: microreboot %s, restart %s — want strictly faster", class.Short(), micro, restart)
 		}
@@ -116,10 +99,7 @@ func TestMRebootGate(t *testing.T) {
 // TestMRebootTelemetry asserts the sweep emits the documented metric family
 // and episode traces.
 func TestMRebootTelemetry(t *testing.T) {
-	tel := NewTelemetry()
-	if _, err := RunMReboot(MRebootConfig{Seed: 42, Telemetry: tel, Workers: 0}); err != nil {
-		t.Fatalf("RunMReboot: %v", err)
-	}
+	tel := mrebootSerial(t).tel
 	if len(tel.Episodes()) == 0 {
 		t.Fatal("no episodes recorded")
 	}
@@ -154,7 +134,8 @@ func TestMRebootTelemetry(t *testing.T) {
 // in order, at deterministic positions, with background arrivals filling the
 // rest.
 func TestSpliceArrivals(t *testing.T) {
-	drv, sc, err := buildComponentized("httpd/null-deref", 1)
+	mech, _ := Registry().Lookup("httpd/null-deref")
+	drv, sc, err := startComponentArm("mreboot", "microreboot", mech, 1)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -174,6 +155,43 @@ func TestSpliceArrivals(t *testing.T) {
 	for i, op := range sc.Ops {
 		if triggers[i] != op.Name {
 			t.Fatalf("trigger %d = %q, want %q (order must be preserved)", i, triggers[i], op.Name)
+		}
+	}
+}
+
+// TestMRebootCheckFails exercises every failure branch of the gate on
+// synthetic reports, and passes a clean one.
+func TestMRebootCheckFails(t *testing.T) {
+	ei, edt := taxonomy.ClassEnvIndependent, taxonomy.ClassEnvDependentTransient
+	arm := func(class taxonomy.FaultClass, policy string, lost int, mttr time.Duration) MRebootArm {
+		return MRebootArm{Class: class, Policy: policy, Requests: 100, Lost: lost,
+			Episodes: 1, Recovered: 1, MTTRTotal: mttr}
+	}
+	for _, tc := range []struct {
+		name string
+		arms []MRebootArm
+		want string
+	}{
+		{"clean", []MRebootArm{
+			arm(ei, "microreboot", 5, time.Second), arm(ei, "restart", 50, 3*time.Second),
+			arm(edt, "microreboot", 5, time.Second), arm(edt, "restart", 50, 3*time.Second)}, ""},
+		{"empty EI cell", []MRebootArm{
+			arm(ei, "microreboot", 5, time.Second), arm(edt, "restart", 50, 3*time.Second)},
+			"experiment: mreboot check: empty EI cell (100/0 requests)"},
+		{"EI lost not below restart", []MRebootArm{
+			arm(ei, "microreboot", 50, time.Second), arm(ei, "restart", 50, 3*time.Second)},
+			"experiment: mreboot check: EI requests lost 50 (microreboot) not below 50 (restart)"},
+		{"class MTTR not below restart", []MRebootArm{
+			arm(ei, "microreboot", 5, time.Second), arm(ei, "restart", 50, 3*time.Second),
+			arm(edt, "microreboot", 5, 3*time.Second), arm(edt, "restart", 50, 2*time.Second)},
+			"experiment: mreboot check: EDT MTTR 3s (microreboot) not below 2s (restart)"},
+	} {
+		err := (&MRebootReport{Arms: tc.arms}).Check()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Check = %v, want pass", tc.name, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%s: Check = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -81,11 +81,11 @@ func (m *Matrix) String() string {
 		row := []string{c.String(), fmt.Sprint(m.Rate(m.Strategies[0], c).N)}
 		for _, s := range m.Strategies {
 			r := m.Rate(s, c)
-			row = append(row, fmt.Sprintf("%d/%d (%s)", r.Hits, r.N, r.Percent()))
+			row = append(row, fractionCell(r.Hits, r.N))
 		}
 		if supervised {
 			r, degraded := m.SupervisedRate(c)
-			cell := fmt.Sprintf("%d/%d (%s)", r.Hits, r.N, r.Percent())
+			cell := fractionCell(r.Hits, r.N)
 			if degraded > 0 {
 				cell += fmt.Sprintf(" [%d degr]", degraded)
 			}

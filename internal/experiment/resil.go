@@ -275,7 +275,7 @@ func (r *ResilReport) String() string {
 		tbl.Add(a.Fault, a.Class.Short(), a.Policy,
 			fmt.Sprintf("%d/%d", a.Fetched, a.Attempted),
 			fmt.Sprint(a.Gaps),
-			fmt.Sprintf("%d/%d (%s)", s.Hits, s.N, s.Percent()),
+			fractionCell(s.Hits, s.N),
 			fmt.Sprint(a.Retries), fmt.Sprint(a.Hedges), fmt.Sprint(a.FastFails),
 			fmt.Sprint(a.BudgetDenied), mttrCell(a.MTTR))
 	}
@@ -287,7 +287,7 @@ func (r *ResilReport) String() string {
 		row := []string{class.Short()}
 		for _, pol := range ResilPolicies() {
 			p := r.SurvivalBy(class, pol)
-			row = append(row, fmt.Sprintf("%d/%d (%s)", p.Hits, p.N, p.Percent()))
+			row = append(row, fractionCell(p.Hits, p.N))
 		}
 		agg.Add(row...)
 	}

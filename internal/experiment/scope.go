@@ -31,18 +31,9 @@ const (
 	MetricScopeProbeEpisodes = "faultstudy_scope_probe_episodes_total"
 )
 
-// The SCOPE probe's workload model, mirroring MREBOOT's virtual clock.
-const (
-	// scopeInterval is the arrival spacing of the probe workload.
-	scopeInterval = mrebootInterval
-	// scopeBgOps is the background workload length per probe arm.
-	scopeBgOps = 40
-	// scopeAttempts bounds recovery attempts per fault episode; after the
-	// last the trigger is abandoned and the rung's action is applied once
-	// more so the arm ends rung-faithfully revived (or not — that is the
-	// measurement).
-	scopeAttempts = 2
-)
+// scopeBgOps is the background workload length per probe arm; arrivals
+// come every arrivalGap, as in MREBOOT.
+const scopeBgOps = 40
 
 // CI gate thresholds: the static class prediction must agree with the
 // registry on at least scopeClassRecallFloor of the mechanisms, and on
@@ -222,9 +213,11 @@ func (r *ScopeReport) observe(tel *Telemetry, analysis *recoveryscope.Analysis) 
 	if tel == nil {
 		return
 	}
-	obsv.RegisterBridgeHelp(tel.Registry)
 	for _, s := range analysis.Sites {
-		app := strings.SplitN(firstMechanism(s.Mechanisms), "/", 2)[0]
+		app := ""
+		if len(s.Mechanisms) > 0 {
+			app, _, _ = strings.Cut(s.Mechanisms[0], "/")
+		}
 		if app == "" {
 			app = "none"
 		}
@@ -254,23 +247,14 @@ func (r *ScopeReport) observe(tel *Telemetry, analysis *recoveryscope.Analysis) 
 	}
 }
 
-// firstMechanism returns the first mechanism key of a site ("" when the
-// site speaks for none).
-func firstMechanism(mechs []string) string {
-	if len(mechs) == 0 {
-		return ""
-	}
-	return mechs[0]
-}
-
 // scopeRun is the per-arm state shared by the workload loop and the episode
 // handler.
 type scopeRun struct {
-	mech      faultinject.Mechanism
-	rung      recoveryscope.Rung
-	drv       *mrebootDriver
+	recoverer
+	scopeRung recoveryscope.Rung
+	app       componentApp
 	arm       *ScopeArm
-	rec       *obsv.Recorder
+	preOp     []byte // the checkpoint taken before the arrival in flight
 	target    string
 	hasTarget bool
 }
@@ -282,53 +266,39 @@ type scopeRun struct {
 // episodes so the telemetry summary reads planned against final.
 func runScopeArm(cfg ScopeConfig, armIdx int, mech faultinject.Mechanism, rung recoveryscope.Rung, planned recoveryscope.Rung, tel *Telemetry) (ScopeArm, error) {
 	arm := ScopeArm{Mechanism: mech.Key, App: mech.App, Rung: rung}
-	armSeed := parallel.Derive(cfg.Seed, uint64(armIdx))
-	drv, sc, err := buildComponentized(mech.Key, armSeed)
+	drv, sc, err := startComponentArm("scope", rung.String(), mech, parallel.Derive(cfg.Seed, uint64(armIdx)))
 	if err != nil {
 		return arm, err
 	}
 	app := drv.app
-	if err := app.Start(); err != nil {
-		return arm, fmt.Errorf("experiment: scope %s × %s: start: %w", mech.Key, rung, err)
+	// Detection is free here: the probe measures which rung cures, not what
+	// the wait costs.
+	run := &scopeRun{scopeRung: rung, app: app, arm: &arm}
+	run.recoverer = recoverer{env: app.Env(), rec: tel.recorder(), key: mech.Key, rung: rung.String(),
+		act: run.applyRung}
+	ctx := armContext(mech)
+	if planned != recoveryscope.RungNone {
+		ctx.PlannedRung = planned.String()
 	}
-	drv.warm()
-	if sc.Stage != nil {
-		sc.Stage()
-	}
-	run := &scopeRun{mech: mech, rung: rung, drv: drv, arm: &arm}
-	if tel != nil {
-		run.rec = tel.Recorder
-		ctx := obsv.Context{App: mech.App.String(), FaultID: mech.Key, Class: mech.Class().Short()}
-		if planned != recoveryscope.RungNone {
-			ctx.PlannedRung = planned.String()
-		}
-		run.rec.SetContext(ctx)
-	}
+	run.rec.SetContext(ctx)
 	run.target, run.hasTarget = app.ComponentFor(mech.Key)
 
 	for _, a := range spliceArrivals(drv, sc.Ops, scopeBgOps) {
-		app.Env().Advance(scopeInterval)
-		preOp, err := app.Snapshot()
-		if err != nil {
+		run.env.Advance(arrivalGap)
+		if run.preOp, err = app.Snapshot(); err != nil {
 			return arm, fmt.Errorf("experiment: scope %s × %s: checkpoint: %w", mech.Key, rung, err)
 		}
 		opErr := a.do()
 		if opErr == nil {
 			continue
 		}
-		if _, isFault := faultinject.AsFailure(opErr); isFault {
-			if run.episode(a, preOp, opErr) {
-				continue
-			}
-			// The arrival is abandoned; only unserved background traffic
-			// counts against the cure (the trigger is the fault itself).
-			if !a.trigger {
-				arm.BgUnserved++
-			}
+		if _, isFault := faultinject.AsFailure(opErr); isFault && run.episode(a, opErr) {
 			continue
 		}
-		// A plain failure — most often a dead process the rung's action
-		// failed to revive. Unserved background traffic is the cure signal.
+		// An abandoned episode, or a plain failure — most often a dead
+		// process the rung's action failed to revive. Only unserved
+		// background traffic counts against the cure (the trigger is the
+		// fault itself).
 		if !a.trigger {
 			arm.BgUnserved++
 		}
@@ -339,119 +309,99 @@ func runScopeArm(cfg ScopeConfig, armIdx int, mech faultinject.Mechanism, rung r
 	return arm, nil
 }
 
-// episode recovers one faulted arrival at exactly the arm's rung: up to
-// scopeAttempts (rung action, retry) rounds, then one final rung action so
-// abandonment still leaves whatever revival the rung can buy. Every episode
-// is recorded with the static plan stamped on it (Recorder is nil-safe).
-func (r *scopeRun) episode(a mrebootArrival, preOp []byte, opErr error) bool {
+// episode recovers one faulted arrival at exactly the arm's rung and closes
+// it: a served retry earns an "ok" retry span carrying its attempt; an
+// abandoned arrival gets one final rung action (attempt recoverAttempts+1)
+// so abandonment still leaves whatever revival the rung can buy. It reports
+// whether the arrival was served.
+func (r *scopeRun) episode(a arrival, opErr error) bool {
 	r.arm.Episodes++
-	env := r.drv.app.Env()
-	rung := r.rung.String()
-	start := env.Monotonic()
-	r.rec.Begin(start, a.name, r.mech.Key)
-	r.rec.Note(start, obsv.Span{Kind: obsv.SpanActivation, Note: opErr.Error()})
-	for attempt := 1; attempt <= scopeAttempts; attempt++ {
-		target := r.applyRung(attempt, preOp)
-		r.rec.Note(env.Monotonic(), obsv.Span{Kind: obsv.SpanAction, Rung: rung,
-			Attempt: attempt, Outcome: "ok", Component: target})
-		retryErr := a.do()
-		if retryErr == nil {
-			end := env.Monotonic()
-			r.arm.Recovered++
-			r.rec.Note(end, obsv.Span{Kind: obsv.SpanRetry, Rung: rung,
-				Attempt: attempt, Outcome: "ok"})
-			r.rec.End(end, obsv.OutcomeRecovered, rung)
-			return true
-		}
-		r.rec.Note(env.Monotonic(), obsv.Span{Kind: obsv.SpanRetry, Rung: rung,
-			Attempt: attempt, Outcome: "fail", Note: retryErr.Error()})
+	_, servedOn := r.recoverOp(a.name, opErr, a.do)
+	if servedOn > 0 {
+		end := r.env.Monotonic()
+		r.arm.Recovered++
+		r.rec.Note(end, obsv.Span{Kind: obsv.SpanRetry, Rung: r.rung,
+			Attempt: servedOn, Outcome: "ok"})
+		r.rec.End(end, obsv.OutcomeRecovered, r.rung)
+		return true
 	}
-	target := r.applyRung(scopeAttempts+1, preOp)
-	end := env.Monotonic()
-	r.rec.Note(end, obsv.Span{Kind: obsv.SpanAction, Rung: rung,
-		Attempt: scopeAttempts + 1, Outcome: "ok", Component: target})
-	r.rec.End(end, obsv.OutcomeLost, rung)
+	final := recoverAttempts + 1
+	target := r.applyRung(final)
+	perturb(r.env, r.key, final)
+	end := r.env.Monotonic()
+	r.rec.Note(end, obsv.Span{Kind: obsv.SpanAction, Rung: r.rung,
+		Attempt: final, Outcome: "ok", Component: target})
+	r.rec.End(end, obsv.OutcomeLost, r.rung)
 	return false
 }
 
-// applyRung performs one recovery action at the arm's rung, then perturbs
-// the schedule exactly as the supervisor's ladder does before a retry. It
-// returns the component a structural rung targeted ("" for process-level
-// rungs), for the action span.
+// applyRung performs one recovery action at the arm's rung and returns the
+// component a structural rung targeted ("" for process-level rungs), for
+// the action span. Process-level rungs never advance the clock, and restart
+// resets without re-warming.
 //
 // The retry rung deliberately performs no structural recovery — a crashed
 // process cannot retry itself back to life; measuring that is the point.
-func (r *scopeRun) applyRung(attempt int, preOp []byte) string {
-	app := r.drv.app
-	tree := app.Tree()
-	target := ""
-	switch r.rung {
+func (r *scopeRun) applyRung(int) string {
+	app := r.app
+	switch r.scopeRung {
 	case recoveryscope.RungMicroreboot, recoveryscope.RungSubtreeReboot:
 		app.ContainCrash()
 		if r.hasTarget {
-			target = r.target
-			rebootComponent(tree, r.target, r.rung == recoveryscope.RungSubtreeReboot, func(time.Duration) {})
+			rebootComponent(app.Tree(), r.target, r.scopeRung == recoveryscope.RungSubtreeReboot, func(time.Duration) {})
+			return r.target
 		}
 	case recoveryscope.RungRestore:
 		app.Stop()
-		app.Env().ReclaimOwner(app.Name())
-		if err := app.Restore(preOp); err != nil {
-			_ = app.Reset()
-		}
+		reinstate(app, r.preOp)
 	case recoveryscope.RungRestart:
 		app.Stop()
 		app.Env().ReclaimOwner(app.Name())
 		_ = app.Reset()
 	}
-	perturb(app.Env(), r.mech.Key, attempt)
-	return target
+	return ""
 }
 
-// ClassRecall is the fraction of mechanisms whose static class matches the
-// registry, overall or (with class set) restricted to one truth class.
-func (r *ScopeReport) ClassRecall(class taxonomy.FaultClass, all bool) stats.Proportion {
-	var p stats.Proportion
+// scopeTally is the scorecard sum of one truth class, or of every mechanism.
+type scopeTally struct {
+	// recall counts mechanisms whose static class matches the registry.
+	recall stats.Proportion
+	// exact, over and under count rung verdicts.
+	exact, over, under int
+}
+
+// tally sums the scorecards of one truth class, or of every mechanism when
+// all is set.
+func (r *ScopeReport) tally(class taxonomy.FaultClass, all bool) scopeTally {
+	var t scopeTally
 	for _, m := range r.Mechs {
 		if !all && m.TruthClass != class {
 			continue
 		}
-		p.Add(m.ClassOK())
+		t.recall.Add(m.ClassOK())
+		switch m.RungVerdict() {
+		case "exact":
+			t.exact++
+		case "over":
+			t.over++
+		default:
+			t.under++
+		}
 	}
-	return p
+	return t
 }
 
-// RungVerdicts counts rung verdicts ("exact", "over", "under") across all
-// mechanisms, or restricted to one truth class.
-func (r *ScopeReport) RungVerdicts(class taxonomy.FaultClass, all bool) map[string]int {
-	out := map[string]int{"exact": 0, "over": 0, "under": 0}
-	for _, m := range r.Mechs {
-		if !all && m.TruthClass != class {
-			continue
-		}
-		out[m.RungVerdict()]++
-	}
-	return out
-}
-
-// EIUnderScope is the fraction of environment-independent mechanisms whose
-// predicted rung falls below the measured minimal rung — the plans that
-// would strand a real fault.
-func (r *ScopeReport) EIUnderScope() stats.Proportion {
-	var p stats.Proportion
-	for _, m := range r.Mechs {
-		if m.TruthClass != taxonomy.ClassEnvIndependent {
-			continue
-		}
-		p.Add(m.RungVerdict() == "under")
-	}
-	return p
+// row renders a tally's recall and verdict columns.
+func (t scopeTally) row(label string) []string {
+	return []string{label, fmt.Sprint(t.recall.N), fractionCell(t.recall.Hits, t.recall.N),
+		fmt.Sprint(t.exact), fmt.Sprint(t.over), fmt.Sprint(t.under)}
 }
 
 // Check asserts the SCOPE gates: overall class recall at or above
 // scopeClassRecallFloor, and EI under-scoping at or below
 // scopeEIUnderScopeCeil.
 func (r *ScopeReport) Check() error {
-	recall := r.ClassRecall(taxonomy.ClassEnvIndependent, true)
+	recall := r.tally(taxonomy.ClassEnvIndependent, true).recall
 	if recall.N == 0 {
 		return fmt.Errorf("experiment: scope check: no mechanisms scored")
 	}
@@ -459,10 +409,10 @@ func (r *ScopeReport) Check() error {
 		return fmt.Errorf("experiment: scope check: class recall %d/%d below %.0f%%",
 			recall.Hits, recall.N, scopeClassRecallFloor*100)
 	}
-	under := r.EIUnderScope()
-	if float64(under.Hits) > scopeEIUnderScopeCeil*float64(under.N) {
+	ei := r.tally(taxonomy.ClassEnvIndependent, false)
+	if float64(ei.under) > scopeEIUnderScopeCeil*float64(ei.recall.N) {
 		return fmt.Errorf("experiment: scope check: EI under-scoped %d/%d above %.0f%%",
-			under.Hits, under.N, scopeEIUnderScopeCeil*100)
+			ei.under, ei.recall.N, scopeEIUnderScopeCeil*100)
 	}
 	return nil
 }
@@ -476,17 +426,10 @@ func (r *ScopeReport) String() string {
 	tbl := &stats.Table{Header: []string{
 		"truth class", "mechs", "class recall", "rung exact", "over", "under"}}
 	for _, class := range taxonomy.Classes() {
-		recall := r.ClassRecall(class, false)
-		v := r.RungVerdicts(class, false)
-		tbl.Add(class.Short(), fmt.Sprint(recall.N),
-			fmt.Sprintf("%d/%d (%s)", recall.Hits, recall.N, recall.Percent()),
-			fmt.Sprint(v["exact"]), fmt.Sprint(v["over"]), fmt.Sprint(v["under"]))
+		tbl.Add(r.tally(class, false).row(class.Short())...)
 	}
-	all := r.ClassRecall(taxonomy.ClassEnvIndependent, true)
-	v := r.RungVerdicts(taxonomy.ClassEnvIndependent, true)
-	tbl.Add("all", fmt.Sprint(all.N),
-		fmt.Sprintf("%d/%d (%s)", all.Hits, all.N, all.Percent()),
-		fmt.Sprint(v["exact"]), fmt.Sprint(v["over"]), fmt.Sprint(v["under"]))
+	all := r.tally(taxonomy.ClassEnvIndependent, true)
+	tbl.Add(all.row("all")...)
 	b.WriteString(tbl.String())
 
 	var misses []string
@@ -501,9 +444,9 @@ func (r *ScopeReport) String() string {
 	if len(misses) > 0 {
 		fmt.Fprintf(&b, "\nDisagreements (truth->static):\n%s\n", strings.Join(misses, "\n"))
 	}
-	under := r.EIUnderScope()
+	ei := r.tally(taxonomy.ClassEnvIndependent, false)
 	fmt.Fprintf(&b,
 		"\nHeadline: from source alone the analysis recovers the fault class of %d/%d seeded\nmechanisms and under-scopes recovery on %d/%d environment-independent faults —\nthe recovery ladder can be planned before the first failure ever fires.\n",
-		all.Hits, all.N, under.Hits, under.N)
+		all.recall.Hits, all.recall.N, ei.under, ei.recall.N)
 	return b.String()
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,51 +10,33 @@ import (
 	"faultstudy/internal/taxonomy"
 )
 
-// scopeDump renders everything a SCOPE run produces: the report and the
-// telemetry trace, timeline, and metric dumps.
-func scopeDump(t *testing.T, workers int) string {
-	t.Helper()
+// runScope42 runs SCOPE at seed 42 with telemetry attached.
+func runScope42(workers int) (seedRun[*ScopeReport], error) {
 	tel := NewTelemetry()
 	rep, err := RunScope(ScopeConfig{Seed: 42, Telemetry: tel, Workers: workers})
 	if err != nil {
-		t.Fatalf("RunScope(workers=%d): %v", workers, err)
+		return seedRun[*ScopeReport]{}, fmt.Errorf("RunScope(workers=%d): %w", workers, err)
 	}
-	var b bytes.Buffer
-	b.WriteString(rep.String())
-	if err := tel.WriteTrace(&b); err != nil {
-		t.Fatalf("WriteTrace: %v", err)
-	}
-	if err := tel.WriteTimeline(&b); err != nil {
-		t.Fatalf("WriteTimeline: %v", err)
-	}
-	if err := tel.WritePrometheus(&b); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	return b.String()
+	return newSeedRun(rep, tel, rep.String())
 }
+
+// scopeSerial is the serial SCOPE run every test below reads.
+var scopeSerial = memoSerial(runScope42)
 
 // TestScopeWorkerInvariance is the determinism contract: every report,
 // trace, timeline, and metrics dump of the SCOPE experiment is
 // byte-identical at 1, 2, and 8 workers.
 func TestScopeWorkerInvariance(t *testing.T) {
-	serial := scopeDump(t, 1)
-	for _, workers := range []int{2, 8} {
-		if got := scopeDump(t, workers); got != serial {
-			t.Fatalf("SCOPE output at %d workers differs from serial run", workers)
-		}
-	}
+	assertWorkerInvariant(t, scopeSerial(t), runScope42)
 }
 
-// TestScopeGate runs the experiment once with telemetry attached and asserts
-// the CI gate plus the mechanics behind it: one scorecard per registered
-// mechanism, one probe arm per (mechanism, rung) cell, the documented metric
-// family, and planned-rung stamping on the recorded episodes.
+// TestScopeGate asserts the CI gate plus the mechanics behind it on the
+// serial run: one scorecard per registered mechanism, one probe arm per
+// (mechanism, rung) cell, the documented metric family, and planned-rung
+// stamping on the recorded episodes.
 func TestScopeGate(t *testing.T) {
-	tel := NewTelemetry()
-	rep, err := RunScope(ScopeConfig{Seed: 42, Telemetry: tel, Workers: 0})
-	if err != nil {
-		t.Fatalf("RunScope: %v", err)
-	}
+	run := scopeSerial(t)
+	rep, tel := run.rep, run.tel
 	if err := rep.Check(); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -68,7 +51,7 @@ func TestScopeGate(t *testing.T) {
 		t.Fatal("no static fault-raise sites analyzed")
 	}
 
-	recall := rep.ClassRecall(taxonomy.ClassEnvIndependent, true)
+	recall := rep.tally(taxonomy.ClassEnvIndependent, true).recall
 	if float64(recall.Hits) < scopeClassRecallFloor*float64(recall.N) {
 		t.Fatalf("class recall %d/%d below gate floor", recall.Hits, recall.N)
 	}

@@ -11,7 +11,6 @@ import (
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/obsv"
 	"faultstudy/internal/parallel"
-	"faultstudy/internal/simenv"
 	"faultstudy/internal/stats"
 	"faultstudy/internal/taxonomy"
 	"faultstudy/internal/traffic"
@@ -37,18 +36,10 @@ const (
 	MetricServeSLOBurn = "faultstudy_serve_slo_burn"
 )
 
-// The serving tier's virtual-time model, shared with the MREBOOT sweep where
-// the quantities coincide: detection and process restart are properties of
-// the platform, not of the experiment asking the question.
+// The serving tier's workload model. Detection, process restart, and the
+// attempt bound are the platform's (recover.go): arrivals inside a detection
+// or process-restart window find nothing serving and are lost.
 const (
-	// serveDetect is the failure-detection latency charged to every episode:
-	// arrivals inside it find nothing serving and are lost.
-	serveDetect = 100 * time.Millisecond
-	// serveProcRestart is the cost of bouncing the whole process; the
-	// retry-on-a-dead-process, restore, and restart rungs all pay it.
-	serveProcRestart = 2 * time.Second
-	// serveAttempts bounds recovery attempts per episode at the arm's rung.
-	serveAttempts = 2
 	// serveBreakerLimit caps recovery episodes per arm: after this many, the
 	// arm sheds further fault failures as plain errors instead of walking the
 	// ladder again — the supervisor's circuit breaker, keeping an
@@ -167,12 +158,7 @@ type ServeArm struct {
 
 // MTTR is the arm's mean time to repair over recovered episodes (0 when
 // nothing recovered).
-func (a ServeArm) MTTR() time.Duration {
-	if a.Recovered == 0 {
-		return 0
-	}
-	return a.MTTRTotal / time.Duration(a.Recovered)
-}
+func (a ServeArm) MTTR() time.Duration { return meanRepair(a.MTTRTotal, a.Recovered) }
 
 // ServeReport is the assembled experiment, arms in (mechanism, rung) order.
 type ServeReport struct {
@@ -273,12 +259,11 @@ func buildServeApp(mechanism string, seed int64) (*appKind, serveApp, faultinjec
 // serveRun is the per-arm state shared by the traffic loop and the episode
 // machinery.
 type serveRun struct {
+	recoverer
 	cfg      ServeConfig
 	mech     faultinject.Mechanism
-	rung     string
 	app      serveApp
 	category func(u float64) string // the arrival draw's operation-mix bucket
-	env      *simenv.Env
 	arm      *ServeArm
 	tel      *Telemetry
 	schedule []traffic.Arrival
@@ -321,23 +306,18 @@ func runServeArm(cfg ServeConfig, armIdx int, mech faultinject.Mechanism, rung s
 	if err != nil {
 		return arm, fmt.Errorf("experiment: serve %s × %s: checkpoint: %w", mech.Key, rung, err)
 	}
-	run := &serveRun{cfg: cfg, mech: mech, rung: rung, app: app, category: k.category,
-		env: app.Env(), arm: &arm, tel: tel, schedule: schedule,
-		base: app.Env().Monotonic(), cp: cp}
-	if tel != nil {
-		obsv.RegisterBridgeHelp(tel.Registry)
-		tel.Recorder.SetContext(obsv.Context{
-			App: mech.App.String(), FaultID: mech.Key, Class: mech.Class().Short()})
-	}
+	run := &serveRun{cfg: cfg, mech: mech, app: app, category: k.category,
+		arm: &arm, tel: tel, schedule: schedule, base: app.Env().Monotonic(), cp: cp}
+	run.recoverer = recoverer{env: app.Env(), rec: tel.recorder(), key: mech.Key, rung: rung,
+		detect: run.detect, act: run.applyServeRung}
+	run.rec.SetContext(armContext(mech))
 
 	// The mechanism's trigger ops fire at evenly spaced schedule positions:
 	// position -> op, spliced ahead of the arrival at that position.
 	triggers := make(map[int]faultinject.Op, len(sc.Ops))
-	if len(sc.Ops) > 0 {
-		stride := len(schedule) / (len(sc.Ops) + 1)
-		for i, op := range sc.Ops {
-			triggers[(i+1)*stride] = op
-		}
+	stride := len(schedule) / (len(sc.Ops) + 1)
+	for i, op := range sc.Ops {
+		triggers[(i+1)*stride] = op
 	}
 
 	for run.next < len(run.schedule) {
@@ -402,7 +382,7 @@ func (r *serveRun) serve(arr traffic.Arrival) {
 		r.ensureServing()
 		return
 	}
-	category, comp, err := r.app.ServeArrival(arr.Seq, arr.User, arr.U)
+	_, comp, err := r.app.ServeArrival(arr.Seq, arr.User, arr.U)
 	var de *component.DownError
 	switch {
 	case err == nil:
@@ -433,7 +413,6 @@ func (r *serveRun) serve(arr traffic.Arrival) {
 			r.record(arr, traffic.OutcomeLost, "", err.Error(), 0)
 		}
 	}
-	_ = category
 }
 
 // breakerOpen reports whether the arm's episode budget is spent.
@@ -469,70 +448,42 @@ func (r *serveRun) record(arr traffic.Arrival, outcome, comp, errMsg string, lat
 	}
 }
 
+// detect charges the detection window: between the fault firing and
+// recovery engaging nothing serves, under every rung alike.
+func (r *serveRun) detect() {
+	r.env.Advance(detectLatency)
+	r.drainLost(r.env.Monotonic(), "detection window")
+}
+
 // episode recovers one fault failure at the arm's rung while traffic keeps
-// arriving: a detection window (arrivals lost), then up to serveAttempts
-// (recovery action, retry) rounds. Reports whether the failing op was
+// arriving, and closes it without an "ok" retry span (the request record
+// carries the served outcome). Reports whether the failing op was
 // eventually served.
 func (r *serveRun) episode(name string, faultErr error, retry func() error) bool {
 	arm := r.arm
 	arm.Episodes++
-	start := r.env.Monotonic()
-	var rec *obsv.Recorder
-	if r.tel != nil {
-		rec = r.tel.Recorder
-		rec.Begin(start, name, r.mech.Key)
-		rec.Note(start, obsv.Span{Kind: obsv.SpanActivation, Note: faultErr.Error()})
-	}
-
-	// Detection: between the fault firing and recovery engaging, nothing
-	// serves, under every rung alike.
-	r.env.Advance(serveDetect)
-	r.drainLost(r.env.Monotonic(), "detection window")
-
-	recovered := false
-	for attempt := 1; attempt <= serveAttempts && !recovered; attempt++ {
-		target := r.applyServeRung(attempt)
-		if rec != nil {
-			rec.Note(r.env.Monotonic(), obsv.Span{Kind: obsv.SpanAction, Rung: r.rung,
-				Attempt: attempt, Outcome: "ok", Component: target})
-		}
-		retryErr := retry()
-		if retryErr == nil {
-			recovered = true
-			break
-		}
-		if rec != nil {
-			rec.Note(r.env.Monotonic(), obsv.Span{Kind: obsv.SpanRetry, Rung: r.rung,
-				Attempt: attempt, Outcome: "fail", Note: retryErr.Error()})
-		}
-	}
+	start, servedOn := r.recoverOp(name, faultErr, retry)
 	end := r.env.Monotonic()
-	if recovered {
+	outcome := obsv.OutcomeLost
+	if servedOn > 0 {
+		outcome = obsv.OutcomeRecovered
 		arm.Recovered++
 		arm.MTTRTotal += end - start
-		if rec != nil {
-			rec.End(end, obsv.OutcomeRecovered, r.rung)
-		}
-		if r.tel != nil {
-			r.tel.Registry.Histogram(MetricServeMTTRSeconds, obsv.LatencyBuckets,
-				obsv.L("rung", r.rung, "class", r.mech.Class().Short())...).ObserveDuration(end - start)
-		}
 	} else {
 		r.ensureServing()
-		if rec != nil {
-			rec.End(end, obsv.OutcomeLost, r.rung)
-		}
 	}
-	if r.tel != nil {
-		outcome := obsv.OutcomeLost
-		if recovered {
-			outcome = obsv.OutcomeRecovered
-		}
-		r.tel.Registry.Counter(MetricServeEpisodes,
-			obsv.L("app", r.mech.App.String(), "rung", r.rung,
-				"class", r.mech.Class().Short(), "outcome", outcome)...).Inc()
+	r.rec.End(end, outcome, r.rung)
+	if r.tel == nil {
+		return servedOn > 0
 	}
-	return recovered
+	if servedOn > 0 {
+		r.tel.Registry.Histogram(MetricServeMTTRSeconds, obsv.LatencyBuckets,
+			obsv.L("rung", r.rung, "class", r.mech.Class().Short())...).ObserveDuration(end - start)
+	}
+	r.tel.Registry.Counter(MetricServeEpisodes,
+		obsv.L("app", r.mech.App.String(), "rung", r.rung,
+			"class", r.mech.Class().Short(), "outcome", outcome)...).Inc()
+	return servedOn > 0
 }
 
 // applyServeRung performs one recovery attempt at the arm's rung and returns
@@ -541,29 +492,24 @@ func (r *serveRun) episode(name string, faultErr error, retry func() error) bool
 // The retry rung deliberately performs no structural recovery — a crashed
 // process cannot retry itself back to life; measuring that under live
 // traffic is part of the point.
-func (r *serveRun) applyServeRung(attempt int) string {
+func (r *serveRun) applyServeRung(int) string {
 	app := r.app
-	target := ""
 	switch r.rung {
-	case "retry":
-		// Perturb only.
 	case "microreboot", "subtree-reboot":
 		app.ContainCrash()
 		if name, ok := app.ComponentFor(r.mech.Key); ok {
-			target = name
 			rebootComponent(app.Tree(), name, r.rung == "subtree-reboot", func(window time.Duration) {
 				r.drainOutage(r.env.Monotonic() + window)
 			})
-		} else {
-			r.bounceProcess(false)
+			return name
 		}
+		r.bounceProcess(false)
 	case "restore":
 		r.bounceProcess(false)
 	case "restart":
 		r.bounceProcess(true)
 	}
-	perturb(r.env, r.mech.Key, attempt)
-	return target
+	return ""
 }
 
 // bounceProcess restarts the whole process: stop, a full restart window
@@ -573,20 +519,17 @@ func (r *serveRun) applyServeRung(attempt int) string {
 func (r *serveRun) bounceProcess(pristine bool) {
 	app := r.app
 	app.Stop()
-	r.env.Advance(serveProcRestart)
+	r.env.Advance(procRestart)
 	r.drainLost(r.env.Monotonic(), "process restart")
-	r.env.ReclaimOwner(app.Name())
 	if pristine {
+		r.env.ReclaimOwner(app.Name())
 		_ = app.Reset()
-		// A restart re-runs the init script: schema and seed state return,
-		// accumulated state does not.
-		_ = app.ServeWarm()
+	} else if !reinstate(app, r.cp) {
 		return
 	}
-	if err := app.Restore(r.cp); err != nil {
-		_ = app.Reset()
-		_ = app.ServeWarm()
-	}
+	// Pristine state re-runs the init script: schema and seed state return,
+	// accumulated state does not.
+	_ = app.ServeWarm()
 }
 
 // ensureServing is the supervisor of last resort: whatever an abandoned
@@ -596,11 +539,6 @@ func (r *serveRun) bounceProcess(pristine bool) {
 func (r *serveRun) ensureServing() {
 	app := r.app
 	if app.Running() && app.Tree().AllRunning() {
-		return
-	}
-	if app.Running() {
-		app.ContainCrash()
-		_ = app.Tree().StartAll()
 		return
 	}
 	app.ContainCrash()
@@ -659,50 +597,29 @@ func (r *serveRun) score() float64 {
 	return burn
 }
 
-// BurnBy aggregates SLO burn across the arms of one class at one rung:
-// total bad requests over total requests, as error-budget multiples.
-func (r *ServeReport) BurnBy(class taxonomy.FaultClass, rung string) float64 {
-	bad, total := 0, 0
+// cell sums the arms of one class at one rung into one arm; its Burn is the
+// cell's bad requests over its requests, as error-budget multiples.
+func (r *ServeReport) cell(class taxonomy.FaultClass, rung string) ServeArm {
+	c := ServeArm{Class: class, Rung: rung}
 	for _, a := range r.Arms {
 		if a.Class != class || a.Rung != rung {
 			continue
 		}
-		bad += a.Requests - a.Good
-		total += a.Requests
+		c.Requests += a.Requests
+		c.Good += a.Good
+		c.Slow += a.Slow
+		c.Refused += a.Refused
+		c.Errored += a.Errored
+		c.Lost += a.Lost
+		c.Shed += a.Shed
+		c.OutageArrivals += a.OutageArrivals
+		c.OutageServed += a.OutageServed
+		c.Episodes += a.Episodes
+		c.Recovered += a.Recovered
+		c.MTTRTotal += a.MTTRTotal
 	}
-	return r.SLO.Burn(bad, total)
-}
-
-// GoodputBy aggregates served-during-reboot over reboot-window arrivals for
-// one class × rung.
-func (r *ServeReport) GoodputBy(class taxonomy.FaultClass, rung string) stats.Proportion {
-	var p stats.Proportion
-	for _, a := range r.Arms {
-		if a.Class != class || a.Rung != rung {
-			continue
-		}
-		p.Hits += a.OutageServed
-		p.N += a.OutageArrivals
-	}
-	return p
-}
-
-// MTTRBy is the mean time to repair across one class's recovered episodes
-// at one rung (0 when nothing recovered).
-func (r *ServeReport) MTTRBy(class taxonomy.FaultClass, rung string) time.Duration {
-	var total time.Duration
-	var n int
-	for _, a := range r.Arms {
-		if a.Class != class || a.Rung != rung {
-			continue
-		}
-		total += a.MTTRTotal
-		n += a.Recovered
-	}
-	if n == 0 {
-		return 0
-	}
-	return total / time.Duration(n)
+	c.Burn = r.SLO.Burn(c.Requests-c.Good, c.Requests)
+	return c
 }
 
 // WriteRequestLog writes every arm's request records as one JSONL stream in
@@ -727,9 +644,8 @@ func (r *ServeReport) Check() error {
 			return fmt.Errorf("experiment: serve check: arm %s × %s served no traffic", a.Mechanism, a.Rung)
 		}
 	}
-	ei := taxonomy.ClassEnvIndependent
-	micro := r.BurnBy(ei, "microreboot")
-	restart := r.BurnBy(ei, "restart")
+	micro := r.cell(taxonomy.ClassEnvIndependent, "microreboot").Burn
+	restart := r.cell(taxonomy.ClassEnvIndependent, "restart").Burn
 	if micro >= restart {
 		return fmt.Errorf("experiment: serve check: EI SLO burn %.1fx (microreboot) not below %.1fx (restart)",
 			micro, restart)
@@ -747,31 +663,19 @@ func (r *ServeReport) String() string {
 		"class", "rung", "requests", "good", "refused", "lost", "burn", "reboot-served", "mttr"}}
 	for _, class := range taxonomy.Classes() {
 		for _, rung := range ServeRungs() {
-			good, refused, lost, req := 0, 0, 0, 0
-			for _, a := range r.Arms {
-				if a.Class != class || a.Rung != rung {
-					continue
-				}
-				good += a.Good
-				refused += a.Refused
-				lost += a.Lost
-				req += a.Requests
-			}
-			if req == 0 {
+			c := r.cell(class, rung)
+			if c.Requests == 0 {
 				continue
 			}
-			gp := r.GoodputBy(class, rung)
 			tbl.Add(class.Short(), rung,
-				fmt.Sprint(req), fmt.Sprint(good), fmt.Sprint(refused), fmt.Sprint(lost),
-				fmt.Sprintf("%.1fx", r.BurnBy(class, rung)),
-				fmt.Sprintf("%d/%d (%s)", gp.Hits, gp.N, gp.Percent()),
-				mttrCell(r.MTTRBy(class, rung)))
+				fmt.Sprint(c.Requests), fmt.Sprint(c.Good), fmt.Sprint(c.Refused), fmt.Sprint(c.Lost),
+				fmt.Sprintf("%.1fx", c.Burn), fractionCell(c.OutageServed, c.OutageArrivals), mttrCell(c.MTTR()))
 		}
 	}
 	b.WriteString(tbl.String())
 	ei := taxonomy.ClassEnvIndependent
 	fmt.Fprintf(&b,
 		"\nHeadline: under sustained open-loop traffic, recovering EI faults by component\nmicroreboot burns %.1fx the SLO error budget where a process restart burns %.1fx —\nkeeping siblings serving through the reboot window is what an SLO actually buys.\n",
-		r.BurnBy(ei, "microreboot"), r.BurnBy(ei, "restart"))
+		r.cell(ei, "microreboot").Burn, r.cell(ei, "restart").Burn)
 	return b.String()
 }

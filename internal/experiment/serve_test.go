@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,53 +10,38 @@ import (
 	"faultstudy/internal/traffic"
 )
 
-// serveDump renders everything a SERVE run produces: the report, the full
-// request log, and the telemetry trace, timeline, and metric dumps.
-func serveDump(t *testing.T, workers int) string {
-	t.Helper()
+// runServe42 runs SERVE at seed 42 with telemetry attached; its dump
+// carries the full request log between the report and the telemetry.
+func runServe42(workers int) (seedRun[*ServeReport], error) {
 	tel := NewTelemetry()
 	rep, err := RunServe(ServeConfig{Seed: 42, Telemetry: tel, Workers: workers})
 	if err != nil {
-		t.Fatalf("RunServe(workers=%d): %v", workers, err)
+		return seedRun[*ServeReport]{}, fmt.Errorf("RunServe(workers=%d): %w", workers, err)
 	}
-	var b bytes.Buffer
-	b.WriteString(rep.String())
-	if err := rep.WriteRequestLog(&b); err != nil {
-		t.Fatalf("WriteRequestLog: %v", err)
+	var head strings.Builder
+	head.WriteString(rep.String())
+	if err := rep.WriteRequestLog(&head); err != nil {
+		return seedRun[*ServeReport]{}, err
 	}
-	if err := tel.WriteTrace(&b); err != nil {
-		t.Fatalf("WriteTrace: %v", err)
-	}
-	if err := tel.WriteTimeline(&b); err != nil {
-		t.Fatalf("WriteTimeline: %v", err)
-	}
-	if err := tel.WritePrometheus(&b); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	return b.String()
+	return newSeedRun(rep, tel, head.String())
 }
+
+// serveSerial is the serial SERVE run every test below reads.
+var serveSerial = memoSerial(runServe42)
 
 // TestServeWorkerInvariance is the determinism contract: every report,
 // request log, trace, timeline, and metrics dump of the SERVE experiment is
 // byte-identical at 1, 2, and 8 workers.
 func TestServeWorkerInvariance(t *testing.T) {
-	serial := serveDump(t, 1)
-	for _, workers := range []int{2, 8} {
-		if got := serveDump(t, workers); got != serial {
-			t.Fatalf("SERVE output at %d workers differs from serial run", workers)
-		}
-	}
+	assertWorkerInvariant(t, serveSerial(t), runServe42)
 }
 
-// TestServeGate runs the experiment once and asserts the CI gate plus the
-// mechanics behind it: the EI SLO-burn ordering, full user coverage, at
-// least two fault classes striking mid-traffic, and a valid request log.
+// TestServeGate asserts the CI gate plus the mechanics behind it on the
+// serial run: the EI SLO-burn ordering, full user coverage, at least two
+// fault classes striking mid-traffic, and a valid request log.
 func TestServeGate(t *testing.T) {
-	tel := NewTelemetry()
-	rep, err := RunServe(ServeConfig{Seed: 42, Telemetry: tel, Workers: 0})
-	if err != nil {
-		t.Fatalf("RunServe: %v", err)
-	}
+	run := serveSerial(t)
+	rep, tel := run.rep, run.tel
 	if err := rep.Check(); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -68,7 +54,7 @@ func TestServeGate(t *testing.T) {
 
 	// The EI burn ordering behind the headline.
 	ei := taxonomy.ClassEnvIndependent
-	if micro, restart := rep.BurnBy(ei, "microreboot"), rep.BurnBy(ei, "restart"); micro >= restart {
+	if micro, restart := rep.cell(ei, "microreboot").Burn, rep.cell(ei, "restart").Burn; micro >= restart {
 		t.Fatalf("EI burn: microreboot %.1fx, restart %.1fx — want strict win", micro, restart)
 	}
 
@@ -196,5 +182,34 @@ func TestServeConfigDefaults(t *testing.T) {
 	}
 	if _, err := RunServe(ServeConfig{Arrival: "bogus"}); err == nil {
 		t.Fatal("bogus arrival spec accepted")
+	}
+}
+
+// TestServeCheckFails exercises every failure branch of the gate on
+// synthetic reports, and passes a clean one.
+func TestServeCheckFails(t *testing.T) {
+	ei := taxonomy.ClassEnvIndependent
+	arm := func(rung string, good int) ServeArm {
+		return ServeArm{Mechanism: "httpd/null-deref", Class: ei, Rung: rung, Requests: 100, Good: good}
+	}
+	for _, tc := range []struct {
+		name string
+		arms []ServeArm
+		want string
+	}{
+		{"clean", []ServeArm{arm("microreboot", 99), arm("restart", 50)}, ""},
+		{"arm served no traffic", []ServeArm{arm("microreboot", 99), arm("restart", 50),
+			{Mechanism: "sqldb/orderby-empty", Class: ei, Rung: "retry"}},
+			"experiment: serve check: arm sqldb/orderby-empty × retry served no traffic"},
+		{"EI burn not below restart", []ServeArm{arm("microreboot", 50), arm("restart", 99)},
+			"experiment: serve check: EI SLO burn 500.0x (microreboot) not below 10.0x (restart)"},
+	} {
+		err := (&ServeReport{SLO: traffic.DefaultSLO(), Arms: tc.arms}).Check()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Check = %v, want pass", tc.name, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%s: Check = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

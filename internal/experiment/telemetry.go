@@ -31,13 +31,16 @@ func (t *Telemetry) observer(ctx obsv.Context) *obsv.Observer {
 	return obsv.NewObserver(t.Registry, t.Recorder, ctx)
 }
 
-// Episodes returns the recorded fault episodes (nil when disabled).
-func (t *Telemetry) Episodes() []*obsv.Episode {
+// recorder returns the episode recorder (nil when disabled).
+func (t *Telemetry) recorder() *obsv.Recorder {
 	if t == nil {
 		return nil
 	}
-	return t.Recorder.Episodes()
+	return t.Recorder
 }
+
+// Episodes returns the recorded fault episodes (nil when disabled).
+func (t *Telemetry) Episodes() []*obsv.Episode { return t.recorder().Episodes() }
 
 // Summary renders the per-class telemetry table over the recorded episodes.
 func (t *Telemetry) Summary() string {
