@@ -218,7 +218,7 @@ func BuildScenario(mechanism string, seed int64) (RecoverableApp, Scenario, erro
 type (
 	// Supervisor keeps an application serving a workload while faults fire.
 	Supervisor = supervise.Supervisor
-	// SupervisorConfig tunes a Supervisor.
+	// SupervisorConfig configures a Supervisor: seed, resource governor, trace.
 	SupervisorConfig = supervise.Config
 	// SupervisorReport is the accounting of one supervised run.
 	SupervisorReport = supervise.Report

@@ -78,7 +78,7 @@ func Componentize(desk *Desktop, store *component.Store) *Componentized {
 	c := &Componentized{
 		desk:  desk,
 		store: store,
-		tree:  component.NewTree(component.EnvClock{Env: desk.env}),
+		tree:  component.NewTree(desk.env),
 	}
 	d := desk
 	c.tree.MustAdd(component.Spec{StartCost: sessionStartCost, Component: component.NewPart(CompSession, component.Hooks{})})

@@ -92,7 +92,7 @@ func Componentize(srv *Server, store *component.Store) *Componentized {
 	c := &Componentized{
 		srv:   srv,
 		store: store,
-		tree:  component.NewTree(component.EnvClock{Env: srv.env}),
+		tree:  component.NewTree(srv.env),
 	}
 	s := srv
 	c.tree.MustAdd(component.Spec{StartCost: coreStartCost, Component: component.NewPart(CompCore, component.Hooks{

@@ -83,7 +83,7 @@ func Componentize(srv *Server, store *component.Store) *Componentized {
 	c := &Componentized{
 		srv:   srv,
 		store: store,
-		tree:  component.NewTree(component.EnvClock{Env: srv.env}),
+		tree:  component.NewTree(srv.env),
 	}
 	s := srv
 	c.tree.MustAdd(component.Spec{StartCost: executorStartCost, Component: component.NewPart(CompExecutor, component.Hooks{})})

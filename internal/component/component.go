@@ -64,32 +64,12 @@ type Component interface {
 	Running() bool
 }
 
-// Clock is the virtual clock reboot costs are charged to. simenv.Env
-// satisfies the shape via EnvClock in the apps; tests may supply fakes.
+// Clock is the virtual clock reboot costs are charged to. *simenv.Env
+// satisfies it; tests may supply fakes.
 type Clock interface {
-	// Now returns the current monotonic virtual time.
-	Now() time.Duration
 	// Advance moves the virtual clock forward by d.
 	Advance(d time.Duration)
 }
-
-// EnvClock adapts a simenv-style environment — anything exposing
-// Monotonic/Advance — to the Clock interface reboot costs are charged to.
-type EnvClock struct {
-	// Env is the adapted environment.
-	Env interface {
-		// Monotonic returns the virtual monotonic time.
-		Monotonic() time.Duration
-		// Advance moves the virtual clock forward.
-		Advance(time.Duration)
-	}
-}
-
-// Now returns the environment's monotonic virtual time.
-func (c EnvClock) Now() time.Duration { return c.Env.Monotonic() }
-
-// Advance moves the environment's virtual clock forward by d.
-func (c EnvClock) Advance(d time.Duration) { c.Env.Advance(d) }
 
 // DownError is the failure an operation observes when a component it routes
 // through is down (killed, mid-reboot, or never started). The serving tier

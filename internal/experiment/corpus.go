@@ -64,20 +64,11 @@ type CorpusConfig struct {
 	// Supervise is the supervisor configuration used for the generated runs
 	// and the curated baseline alike.
 	Supervise supervise.Config
-	// DriftBand is the allowed per-class recovery-rate drift against the
-	// curated baseline, in percentage points (0 means 10).
-	DriftBand float64
-	// MinAgreement is the required classifier agreement over generated
-	// reports (0 means 0.98).
-	MinAgreement float64
 	// SiteFaults sizes the synthetic PR site's population (0 means 50000,
-	// which yields >= 100k PR pages).
+	// which yields >= 100k PR pages and gates the site at that floor).
 	SiteFaults int
 	// CrawlPages bounds the crawl sample over the site (0 means 400).
 	CrawlPages int
-	// MinSitePages gates the site's total page count; it defaults to 100000
-	// only when SiteFaults also defaults, and 0 otherwise (no gate).
-	MinSitePages int
 	// Telemetry, when non-nil, receives per-run traces and the corpus
 	// metric family. Nil costs nothing.
 	Telemetry *Telemetry
@@ -87,22 +78,26 @@ type CorpusConfig struct {
 	Workers int
 }
 
+// The CORPUS gates.
+const (
+	// corpusDriftBand is the allowed per-class recovery-rate drift against
+	// the curated baseline, in percentage points.
+	corpusDriftBand = 10.0
+	// corpusMinAgreement is the required classifier agreement over
+	// generated reports.
+	corpusMinAgreement = 0.98
+	// corpusMinSitePages is the site's page floor at the default SiteFaults;
+	// a caller-sized site has no floor.
+	corpusMinSitePages = 100000
+)
+
 // withDefaults fills the zero fields.
 func (c CorpusConfig) withDefaults() CorpusConfig {
-	if c.DriftBand == 0 {
-		c.DriftBand = 10
-	}
-	if c.MinAgreement == 0 {
-		c.MinAgreement = 0.98
-	}
 	if c.CrawlPages <= 0 {
 		c.CrawlPages = 400
 	}
 	if c.SiteFaults <= 0 {
 		c.SiteFaults = 50000
-		if c.MinSitePages == 0 {
-			c.MinSitePages = 100000
-		}
 	}
 	return c
 }
@@ -171,11 +166,6 @@ type CorpusReport struct {
 	EpisodeStats []CorpusEpisodeStat
 	// GOF holds every sampled dimension's goodness-of-fit test.
 	GOF []corpusgen.GOFResult
-	// DriftBand is the per-class drift gate the report checks against.
-	DriftBand float64
-	// MinAgreement is the classifier-agreement gate the report checks
-	// against.
-	MinAgreement float64
 	// SitePages is the synthetic PR site's total page count; SiteCrawled and
 	// SiteGaps are the crawl sample's outcomes; MinSitePages is the gate.
 	SitePages, SiteCrawled, SiteGaps, MinSitePages int
@@ -194,6 +184,10 @@ type CorpusReport struct {
 // order — so reports, traces, and metric dumps are byte-identical at every
 // worker count.
 func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
+	minSitePages := 0
+	if cfg.SiteFaults <= 0 {
+		minSitePages = corpusMinSitePages
+	}
 	cfg = cfg.withDefaults()
 	spec, err := corpusgen.ParseCorpusSpec(cfg.Spec)
 	if err != nil {
@@ -212,8 +206,7 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 	rep := &CorpusReport{
 		Seed: cfg.Seed, SpecText: spec.String(),
 		Faults: len(faults), Episodes: len(episodes),
-		DriftBand: cfg.DriftBand, MinAgreement: cfg.MinAgreement,
-		MinSitePages: cfg.MinSitePages,
+		MinSitePages: minSitePages,
 	}
 
 	byClass := make(map[taxonomy.FaultClass]*CorpusClassStat, 3)
@@ -494,17 +487,17 @@ func (r *CorpusReport) Check() error {
 		agree += st.Agreement.Hits
 		total += st.Agreement.N
 	}
-	if total > 0 && float64(agree)/float64(total) < r.MinAgreement {
+	if total > 0 && float64(agree)/float64(total) < corpusMinAgreement {
 		return fmt.Errorf("experiment: corpus check: classifier agreement %d/%d below %.2f",
-			agree, total, r.MinAgreement)
+			agree, total, corpusMinAgreement)
 	}
 	for _, st := range r.Classes {
 		if st.Covered.N == 0 {
 			continue
 		}
-		if d := st.DriftPoints(); d > r.DriftBand {
+		if d := st.DriftPoints(); d > corpusDriftBand {
 			return fmt.Errorf("experiment: corpus check: %s covered recovery rate %s drifts %.1f points from mechanism-matched baseline %.0f%% (band %.1f)",
-				st.Class.Short(), st.Covered.Percent(), d, st.BaselineRate*100, r.DriftBand)
+				st.Class.Short(), st.Covered.Percent(), d, st.BaselineRate*100, corpusDriftBand)
 		}
 	}
 	for _, es := range r.EpisodeStats {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // durableOutputs renders everything a DURABLE run emits: the report text,
@@ -153,5 +154,56 @@ func TestRunDurableFreshWarehouseResets(t *testing.T) {
 	}
 	if after.Size() >= before.Size() {
 		t.Fatalf("fresh run did not reset the warehouse: %d -> %d bytes", before.Size(), after.Size())
+	}
+}
+
+// TestDurableCheckFails drives every failure branch of DurableReport.Check
+// on synthetic reports: each mutation of a clean report must fail with its
+// own message, while the clean report and a halted one pass.
+func TestDurableCheckFails(t *testing.T) {
+	clean := func() *DurableReport {
+		arm := func(name, class string, detected int) DurableArm {
+			return DurableArm{Name: name, Class: class, Boundaries: 12, Crashes: 12, Acked: 40,
+				DetectedLoss: detected, Episodes: 12, RecoveredEpisodes: 12, MTTRTotal: time.Second}
+		}
+		return &DurableReport{Seed: 42, Arms: []DurableArm{
+			arm("crash-drop", "crash", 0),
+			{Name: "crash-before-rename", Class: "crash", Episodes: 1, RecoveredEpisodes: 1, MTTRTotal: time.Second},
+			arm("torn-write", "EDT", 1),
+		}}
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*DurableReport)
+		want string
+	}{
+		{"clean", func(*DurableReport) {}, ""},
+		{"halted", func(r *DurableReport) { r.Halted, r.Arms[0].SilentLoss = true, 3 }, ""},
+		{"silent loss", func(r *DurableReport) { r.Arms[0].SilentLoss = 3 },
+			"experiment: durable check: crash-drop: 3 acknowledged records silently lost"},
+		{"undetected corruption", func(r *DurableReport) { r.Arms[0].UndetectedCorruption = 2 },
+			"experiment: durable check: crash-drop: 2 undetected corruptions"},
+		{"no episodes", func(r *DurableReport) { r.Arms[0].Episodes, r.Arms[0].RecoveredEpisodes = 0, 0 },
+			"experiment: durable check: crash-drop: no episodes ran"},
+		{"unrecovered episodes", func(r *DurableReport) { r.Arms[0].RecoveredEpisodes = 10 },
+			"experiment: durable check: crash-drop: 2 of 12 episodes unrecovered"},
+		{"torn-write lie undetected", func(r *DurableReport) { r.Arms[2].DetectedLoss = 0 },
+			"experiment: durable check: torn-write: the device lie went undetected"},
+		{"detected loss outside torn-write", func(r *DurableReport) { r.Arms[0].DetectedLoss = 4 },
+			"experiment: durable check: crash-drop: 4 records lost to detected damage"},
+		{"crash arm without boundaries", func(r *DurableReport) { r.Arms[0].Boundaries = 0 },
+			"experiment: durable check: crash-drop: no write boundaries enumerated"},
+		{"zero repair time", func(r *DurableReport) { r.Arms[2].MTTRTotal = 0 },
+			"experiment: durable check: torn-write: no repair time accumulated"},
+	} {
+		r := clean()
+		tc.mut(r)
+		err := r.Check()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Check = %v, want pass", tc.name, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%s: Check = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

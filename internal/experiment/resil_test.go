@@ -136,3 +136,34 @@ func TestResilTelemetry(t *testing.T) {
 		}
 	}
 }
+
+// TestResilCheckFails drives every failure branch of ResilReport.Check on
+// synthetic reports; a clean report must pass.
+func TestResilCheckFails(t *testing.T) {
+	edt, edn := taxonomy.ClassEnvDependentTransient, taxonomy.ClassEnvDependentNonTransient
+	arm := func(class taxonomy.FaultClass, policy string, recovered, targeted int) ResilArm {
+		return ResilArm{Fault: "fault-" + class.Short(), Class: class, Policy: policy,
+			Targeted: targeted, Recovered: recovered}
+	}
+	for _, tc := range []struct {
+		name string
+		arms []ResilArm
+		want string
+	}{
+		{"clean", []ResilArm{arm(edt, "full", 19, 20), arm(edn, "full", 1, 20), arm(edt, "naive", 2, 20)}, ""},
+		{"empty class", []ResilArm{arm(edt, "full", 19, 20), arm(edn, "naive", 0, 20)},
+			"experiment: resil check: empty class (EDT 20, EDN 0 targeted URLs)"},
+		{"EDT below 90%", []ResilArm{arm(edt, "full", 17, 20), arm(edn, "full", 0, 20)},
+			"experiment: resil check: full-policy EDT survival 85% below 90%"},
+		{"EDN above 10%", []ResilArm{arm(edt, "full", 20, 20), arm(edn, "full", 3, 20)},
+			"experiment: resil check: full-policy EDN survival 15% above 10%"},
+	} {
+		err := (&ResilReport{Seed: 42, Arms: tc.arms}).Check()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Check = %v, want pass", tc.name, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%s: Check = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

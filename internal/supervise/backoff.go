@@ -5,69 +5,20 @@ import (
 	"time"
 )
 
-// backoff produces the jittered exponential delay sequence the supervisor
-// sleeps between recovery attempts: base·2^(attempt−1), capped, plus a
-// uniformly drawn jitter fraction so synchronized restarts don't stampede.
-// The jitter generator is injected rather than constructed here, so a caller
-// owns the seeding discipline: soak runs thread one seeded *rand.Rand per
-// supervisor and the full delay sequence is reproducible from the config
-// seed alone (never the global math/rand source — see faultlint's rawrand
-// rule).
-type backoff struct {
-	base   time.Duration
-	cap    time.Duration
-	jitter float64
-	rng    *rand.Rand
-}
-
-// newBackoff builds the delay sequence around the caller's generator. A nil
-// rng disables jitter rather than falling back to the global source.
-func newBackoff(base, cap time.Duration, jitter float64, rng *rand.Rand) *backoff {
-	if rng == nil {
-		jitter = 0
-	}
-	return &backoff{base: base, cap: cap, jitter: jitter, rng: rng}
-}
-
-// seededRand is the supervisor's canonical jitter generator: dedicated to
-// one backoff sequence and derived only from the config seed.
-func seededRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
-}
-
-// next returns the delay before the attempt-th recovery attempt (1-based).
-func (b *backoff) next(attempt int) time.Duration {
-	if attempt < 1 {
-		attempt = 1
-	}
-	d := b.base
-	for i := 1; i < attempt; i++ {
+// backoff returns the delay the supervisor sleeps before the attempt-th
+// recovery attempt (1-based): backoffBase·2^(attempt−1), capped at
+// backoffCap, plus a uniformly drawn jitter fraction so synchronized
+// restarts don't stampede. The jitter generator is the supervisor's own,
+// seeded from Config.Seed alone (never the global math/rand source — see
+// faultlint's rawrand rule), so soak runs reproduce the full delay sequence
+// from the config seed.
+func backoff(attempt int, rng *rand.Rand) time.Duration {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffCap; i++ {
 		d *= 2
-		if d >= b.cap || d <= 0 {
-			d = b.cap
-			break
-		}
 	}
-	if d > b.cap {
-		d = b.cap
+	if d > backoffCap {
+		d = backoffCap
 	}
-	if b.jitter > 0 {
-		d += time.Duration(float64(d) * b.jitter * b.rng.Float64())
-	}
-	return d
-}
-
-// BackoffSchedule returns the first n delays the supervisor would sleep for
-// consecutive recovery attempts under cfg — the expected jittered exponential
-// sequence, for tests and capacity planning. It consumes an independent
-// generator seeded identically to the supervisor's, so it reproduces a run's
-// backoff trace exactly.
-func BackoffSchedule(cfg Config, n int) []time.Duration {
-	cfg = cfg.withDefaults()
-	b := newBackoff(cfg.BackoffBase, cfg.BackoffCap, cfg.BackoffJitter, seededRand(cfg.Seed))
-	out := make([]time.Duration, 0, n)
-	for i := 1; i <= n; i++ {
-		out = append(out, b.next(i))
-	}
-	return out
+	return d + time.Duration(float64(d)*backoffJitter*rng.Float64())
 }

@@ -45,21 +45,13 @@ type breaker struct {
 }
 
 // breakerSet holds the per-mechanism breakers.
-type breakerSet struct {
-	threshold int
-	cooldown  time.Duration
-	m         map[string]*breaker
-}
+type breakerSet map[string]*breaker
 
-func newBreakerSet(threshold int, cooldown time.Duration) *breakerSet {
-	return &breakerSet{threshold: threshold, cooldown: cooldown, m: make(map[string]*breaker)}
-}
-
-func (s *breakerSet) get(mech string) *breaker {
-	b, ok := s.m[mech]
+func (s breakerSet) get(mech string) *breaker {
+	b, ok := s[mech]
 	if !ok {
 		b = &breaker{}
-		s.m[mech] = b
+		s[mech] = b
 	}
 	return b
 }
@@ -67,11 +59,11 @@ func (s *breakerSet) get(mech string) *breaker {
 // allow reports whether a failure of mech may enter the recovery ladder. An
 // open breaker whose cooldown has passed transitions to half-open and admits
 // one trial episode.
-func (s *breakerSet) allow(mech string, now time.Duration) bool {
+func (s breakerSet) allow(mech string, now time.Duration) bool {
 	b := s.get(mech)
 	switch b.state {
 	case BreakerOpen:
-		if now-b.openedAt >= s.cooldown {
+		if now-b.openedAt >= breakerCooldown {
 			b.state = BreakerHalfOpen
 			return true
 		}
@@ -84,10 +76,10 @@ func (s *breakerSet) allow(mech string, now time.Duration) bool {
 // failure records one failed recovery attempt for mech and reports whether
 // the breaker newly opened. A half-open trial that fails re-opens
 // immediately.
-func (s *breakerSet) failure(mech string, now time.Duration) bool {
+func (s breakerSet) failure(mech string, now time.Duration) bool {
 	b := s.get(mech)
 	b.consecutive++
-	if b.state == BreakerHalfOpen || b.consecutive >= s.threshold {
+	if b.state == BreakerHalfOpen || b.consecutive >= breakerThreshold {
 		wasOpen := b.state == BreakerOpen
 		b.state = BreakerOpen
 		b.openedAt = now
@@ -99,33 +91,33 @@ func (s *breakerSet) failure(mech string, now time.Duration) bool {
 // forceOpen opens the breaker regardless of count — the escalation ladder
 // was exhausted without changing the outcome, which is as deterministic as
 // evidence gets. Reports whether the breaker newly opened.
-func (s *breakerSet) forceOpen(mech string, now time.Duration) bool {
+func (s breakerSet) forceOpen(mech string, now time.Duration) bool {
 	b := s.get(mech)
 	wasOpen := b.state == BreakerOpen
 	b.state = BreakerOpen
 	b.openedAt = now
-	b.consecutive = s.threshold
+	b.consecutive = breakerThreshold
 	return !wasOpen
 }
 
 // success records a recovery that worked: the mechanism is not deterministic
 // after all. Closes a half-open breaker and resets the recurrence count.
-func (s *breakerSet) success(mech string) {
+func (s breakerSet) success(mech string) {
 	b := s.get(mech)
 	b.state = BreakerClosed
 	b.consecutive = 0
 }
 
 // states returns a snapshot of every tracked breaker, sorted by mechanism.
-func (s *breakerSet) states() []BreakerStatus {
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
+func (s breakerSet) states() []BreakerStatus {
+	keys := make([]string, 0, len(s))
+	for k := range s {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	out := make([]BreakerStatus, 0, len(keys))
 	for _, k := range keys {
-		b := s.m[k]
+		b := s[k]
 		out = append(out, BreakerStatus{Mechanism: k, State: b.state, Consecutive: b.consecutive})
 	}
 	return out

@@ -60,28 +60,3 @@ func TestConcurrentSupervisorsShareNothing(t *testing.T) {
 		}
 	}
 }
-
-// TestBackoffScheduleConcurrentReads verifies BackoffSchedule is safe to call
-// from many goroutines with the same config (it derives a private RNG per
-// call) and stays reproducible while racing.
-func TestBackoffScheduleConcurrentReads(t *testing.T) {
-	cfg := Config{Seed: 9, BackoffJitter: 0.5}
-	want := BackoffSchedule(cfg, 8)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				got := BackoffSchedule(cfg, 8)
-				for j := range want {
-					if got[j] != want[j] {
-						t.Errorf("concurrent schedule diverged at %d: %s vs %s", j, got[j], want[j])
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}

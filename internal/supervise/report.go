@@ -132,8 +132,8 @@ func (k EventKind) String() string {
 type Event struct {
 	// Kind is the event kind.
 	Kind EventKind
-	// At is the supervisor clock's reading when the event was emitted — a
-	// monotonic virtual timestamp, deterministic for a deterministic clock.
+	// At is the application environment's monotonic virtual clock reading
+	// when the event was emitted, deterministic for a given seed.
 	// Backoff events are stamped at the start of the sleep (At + Delay is the
 	// wake time); every other event is stamped when it happens.
 	At time.Duration

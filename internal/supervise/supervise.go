@@ -28,17 +28,17 @@ package supervise
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"faultstudy/internal/component"
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/recovery"
+	"faultstudy/internal/simenv"
 )
 
 // Pseudo-mechanism keys for failures the supervisor itself classifies.
 const (
-	// MechWatchdog tags operations abandoned by the wall-clock watchdog.
-	MechWatchdog = "supervise/watchdog"
 	// MechPanic tags operations that panicked.
 	MechPanic = "supervise/panic"
 	// MechUnmodeled tags failures outside the seeded-fault model (e.g. an
@@ -83,49 +83,12 @@ type Degradable interface {
 	SetDegraded(bool)
 }
 
-// Config tunes a Supervisor. The zero value gets production-shaped defaults.
+// Config configures a Supervisor. The supervision policy itself — watchdog
+// charge, backoff, retry budget, breaker, ladder pacing — is fixed by the
+// package constants below.
 type Config struct {
-	// Clock supplies time; nil means an EnvClock over the application's
-	// environment.
-	Clock Clock
 	// Seed seeds the backoff jitter generator.
 	Seed int64
-	// WatchdogTimeout is the virtual time the watchdog charges when an
-	// operation reports a hang symptom before declaring it failed
-	// (0 means 30s).
-	WatchdogTimeout time.Duration
-	// WallTimeout, when positive, bounds the real time an operation may
-	// block before the watchdog abandons it. Zero disables the wall-clock
-	// watchdog (simulated operations return promptly).
-	WallTimeout time.Duration
-	// BackoffBase is the first backoff delay (0 means 1s).
-	BackoffBase time.Duration
-	// BackoffCap bounds the exponential backoff (0 means 4m).
-	BackoffCap time.Duration
-	// BackoffJitter is the uniform jitter fraction added to each delay
-	// (negative means none; 0 means the default 0.25).
-	BackoffJitter float64
-	// RetryBudget is the maximum recovery attempts per RetryWindow before
-	// the supervisor declares a crash loop and degrades (0 means 12).
-	RetryBudget int
-	// RetryWindow is the sliding window the budget applies to (0 means 30m).
-	RetryWindow time.Duration
-	// BreakerThreshold is the failed-recovery streak that opens a
-	// mechanism's circuit breaker (0 means 10 — longer than a full ladder
-	// walk, so the degraded rung is reached before the breaker counts out;
-	// an exhausted ladder force-opens the breaker regardless).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before admitting a
-	// half-open trial (0 means 20m).
-	BreakerCooldown time.Duration
-	// RungAttempts is how many recovery attempts each ladder rung gets
-	// before escalation (0 means 2 — the cumulative backoff across a full
-	// ladder walk then spans minutes, long enough for the paper's
-	// time-healing transient conditions to clear).
-	RungAttempts int
-	// CheckpointEvery is how many served ops pass between epoch snapshots —
-	// the restore rung's rollback target (0 means 16).
-	CheckpointEvery int
 	// GrowResources applies the §6.2 resource governor before each recovery
 	// action when the failure's cause is a growable environment resource.
 	GrowResources bool
@@ -133,50 +96,49 @@ type Config struct {
 	Trace func(Event)
 }
 
-func (c Config) withDefaults() Config {
-	if c.WatchdogTimeout <= 0 {
-		c.WatchdogTimeout = 30 * time.Second
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = time.Second
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 4 * time.Minute
-	}
-	if c.BackoffJitter == 0 {
-		c.BackoffJitter = 0.25
-	} else if c.BackoffJitter < 0 {
-		c.BackoffJitter = 0
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 12
-	}
-	if c.RetryWindow <= 0 {
-		c.RetryWindow = 30 * time.Minute
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 10
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 20 * time.Minute
-	}
-	if c.RungAttempts <= 0 {
-		c.RungAttempts = 2
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 16
-	}
-	return c
-}
+// The supervision policy. Every duration is virtual time on the
+// application's environment clock.
+const (
+	// watchdogTimeout is the virtual time the watchdog charges when an
+	// operation reports a hang symptom before declaring it failed.
+	watchdogTimeout = 30 * time.Second
+	// backoffBase is the first backoff delay.
+	backoffBase = time.Second
+	// backoffCap bounds the exponential backoff.
+	backoffCap = 4 * time.Minute
+	// backoffJitter is the uniform jitter fraction added to each delay.
+	backoffJitter = 0.25
+	// retryBudget is the maximum recovery attempts per retryWindow before
+	// the supervisor declares a crash loop and degrades.
+	retryBudget = 12
+	// retryWindow is the sliding window the retry budget applies to.
+	retryWindow = 30 * time.Minute
+	// breakerThreshold is the failed-recovery streak that opens a
+	// mechanism's circuit breaker: 10 is longer than a full ladder walk, so
+	// the degraded rung is reached before the breaker counts out (an
+	// exhausted ladder force-opens the breaker regardless).
+	breakerThreshold = 10
+	// breakerCooldown is how long an open breaker waits before admitting a
+	// half-open trial.
+	breakerCooldown = 20 * time.Minute
+	// rungAttempts is how many recovery attempts each ladder rung gets
+	// before escalation: with 2, the cumulative backoff across a full ladder
+	// walk spans minutes, long enough for the paper's time-healing transient
+	// conditions to clear.
+	rungAttempts = 2
+	// checkpointEvery is how many served ops pass between epoch snapshots —
+	// the restore rung's rollback target.
+	checkpointEvery = 16
+)
 
 // Supervisor drives one application under sustained workload, recovering
 // from failures by policy. It is not safe for concurrent Run calls.
 type Supervisor struct {
 	cfg      Config
 	app      recovery.Application
-	clock    Clock
-	backoff  *backoff
-	breakers *breakerSet
+	env      *simenv.Env // the application's environment: its clock paces every policy
+	rng      *rand.Rand  // backoff jitter, seeded from cfg.Seed alone
+	breakers breakerSet
 
 	report     *Report
 	epoch      []byte // last epoch checkpoint (restore rung target)
@@ -188,17 +150,12 @@ type Supervisor struct {
 // New builds a supervisor over the application. The application may be
 // started or stopped; Run starts it if needed.
 func New(app recovery.Application, cfg Config) *Supervisor {
-	cfg = cfg.withDefaults()
-	clock := cfg.Clock
-	if clock == nil {
-		clock = EnvClock{Env: app.Env()}
-	}
 	return &Supervisor{
 		cfg:      cfg,
 		app:      app,
-		clock:    clock,
-		backoff:  newBackoff(cfg.BackoffBase, cfg.BackoffCap, cfg.BackoffJitter, seededRand(cfg.Seed)),
-		breakers: newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		env:      app.Env(),
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		breakers: make(breakerSet),
 	}
 }
 
@@ -215,7 +172,7 @@ func (s *Supervisor) Run(ops []Op) (*Report, error) {
 	if !s.app.Running() {
 		if err := s.app.Start(); err != nil {
 			// One second chance: reclaim leftovers and reinitialize.
-			s.app.Env().ReclaimOwner(s.app.Name())
+			s.env.ReclaimOwner(s.app.Name())
 			if rerr := s.app.Reset(); rerr != nil {
 				return s.report, fmt.Errorf("supervise: start %s: %w", s.app.Name(), err)
 			}
@@ -248,7 +205,7 @@ func (s *Supervisor) Run(ops []Op) (*Report, error) {
 		// The episode clock starts at dispatch: a hang the watchdog has to
 		// charge before the failure is even classified belongs to the
 		// episode's repair time.
-		dispatchedAt := s.clock.Now()
+		dispatchedAt := s.env.Monotonic()
 		opErr := s.execute(op)
 		if opErr == nil {
 			s.opServed(op, preOp)
@@ -281,7 +238,7 @@ func (s *Supervisor) Run(ops []Op) (*Report, error) {
 // endEpisode accounts one failure episode's duration, end-stamped at
 // decision time.
 func (s *Supervisor) endEpisode(dispatchedAt time.Duration, res opResult) {
-	dur := s.clock.Now() - dispatchedAt
+	dur := s.env.Monotonic() - dispatchedAt
 	s.report.EpisodeDurations = append(s.report.EpisodeDurations, dur)
 	if res == opRecovered {
 		s.report.RepairDurations = append(s.report.RepairDurations, dur)
@@ -293,7 +250,7 @@ func (s *Supervisor) endEpisode(dispatchedAt time.Duration, res opResult) {
 func (s *Supervisor) opServed(op Op, preOp []byte) {
 	s.report.OpsOK++
 	s.sinceEpoch++
-	if s.sinceEpoch >= s.cfg.CheckpointEvery {
+	if s.sinceEpoch >= checkpointEvery {
 		s.epoch = preOp
 		s.sinceEpoch = 0
 		s.trace(Event{Kind: EventCheckpoint, Op: op.Name})
@@ -314,7 +271,7 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 	mech := s.classify(initial)
 	s.noteFailure(op, mech, 0, initial)
 
-	if !s.breakers.allow(mech, s.clock.Now()) {
+	if !s.breakers.allow(mech, s.env.Monotonic()) {
 		s.report.mech(mech).FastFails++
 		s.trace(Event{Kind: EventFastFail, Op: op.Name, Mechanism: mech, Err: initial})
 		s.ensureRunning(preOp)
@@ -342,10 +299,10 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 		attempt++
 		attemptAt++
 		s.noteRetry()
-		delay := s.backoff.next(attempt)
+		delay := backoff(attempt, s.rng)
 		s.report.BackoffTotal += delay
 		s.trace(Event{Kind: EventBackoff, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Delay: delay})
-		s.clock.Sleep(delay)
+		s.env.Advance(delay)
 
 		target, err := s.applyRung(rung, preOp, mech, attempt, attemptAt, lastFE)
 		if err != nil {
@@ -374,14 +331,14 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 		s.noteFailure(op, mech, rung, retryErr)
 		lastFE, _ = faultinject.AsFailure(retryErr)
 
-		if s.breakers.failure(mech, s.clock.Now()) {
+		if s.breakers.failure(mech, s.env.Monotonic()) {
 			s.report.mech(mech).BreakerOpens++
 			s.trace(Event{Kind: EventBreakerOpen, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Err: retryErr})
 			s.ensureRunning(preOp)
 			s.trace(Event{Kind: EventGiveUp, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Err: retryErr})
 			return opFailed
 		}
-		if attemptAt >= s.cfg.RungAttempts {
+		if attemptAt >= rungAttempts {
 			s.escalateTo(op, mech, rung+1)
 			rung++
 			attemptAt = 0
@@ -409,7 +366,7 @@ func (s *Supervisor) degradeAndFinish(idx int, op Op, preOp []byte, mech string)
 		return opRecovered
 	}
 	s.exitDegraded()
-	if s.breakers.forceOpen(mech, s.clock.Now()) {
+	if s.breakers.forceOpen(mech, s.env.Monotonic()) {
 		s.report.mech(mech).BreakerOpens++
 		s.trace(Event{Kind: EventBreakerOpen, Op: op.Name, Mechanism: mech, Rung: RungDegraded})
 	}
@@ -424,17 +381,16 @@ func (s *Supervisor) degradeAndFinish(idx int, op Op, preOp []byte, mech string)
 // rung: the microreboot rung reboots the attributed component alone first
 // and widens to its dependent subtree on the rung's later attempts.
 func (s *Supervisor) applyRung(rung Rung, preOp []byte, mech string, attempt, attemptAt int, fe *faultinject.FailureError) (string, error) {
-	env := s.app.Env()
 	if s.cfg.GrowResources && fe != nil {
-		recovery.GrowResources(env, fe)
+		recovery.GrowResources(s.env, fe)
 	}
 	perturb := func() {
 		// Wang93: each retry deliberately forces a different interleaving at
 		// the failing program point, so races are not retried into the same
 		// losing schedule.
-		env.Sched().UnforceAll()
-		env.Reroll()
-		env.Sched().Force(mech, attempt)
+		s.env.Sched().UnforceAll()
+		s.env.Reroll()
+		s.env.Sched().Force(mech, attempt)
 	}
 	switch rung {
 	case RungRetry:
@@ -443,7 +399,7 @@ func (s *Supervisor) applyRung(rung Rung, preOp []byte, mech string, attempt, at
 			return "", nil
 		}
 		s.app.Stop()
-		env.ReclaimOwner(s.app.Name())
+		s.env.ReclaimOwner(s.app.Name())
 		perturb()
 		return "", s.app.Restore(preOp)
 	case RungMicroreboot:
@@ -466,17 +422,17 @@ func (s *Supervisor) applyRung(rung Rung, preOp []byte, mech string, attempt, at
 		// Monolithic fallback: the coarse component-level reboot that
 		// preserves all logical state.
 		s.app.Stop()
-		env.ReclaimOwner(s.app.Name())
+		s.env.ReclaimOwner(s.app.Name())
 		perturb()
 		return "", s.app.Restore(preOp)
 	case RungRestore:
 		s.app.Stop()
-		env.ReclaimOwner(s.app.Name())
+		s.env.ReclaimOwner(s.app.Name())
 		perturb()
 		return "", s.app.Restore(s.epoch)
 	case RungRestart:
 		s.app.Stop()
-		env.ReclaimOwner(s.app.Name())
+		s.env.ReclaimOwner(s.app.Name())
 		perturb()
 		return "", s.app.Reset()
 	default:
@@ -491,11 +447,10 @@ func (s *Supervisor) ensureRunning(preOp []byte) {
 	if s.app.Running() {
 		return
 	}
-	env := s.app.Env()
 	s.app.Stop()
-	env.ReclaimOwner(s.app.Name())
-	env.Sched().UnforceAll()
-	env.Reroll()
+	s.env.ReclaimOwner(s.app.Name())
+	s.env.Sched().UnforceAll()
+	s.env.Reroll()
 	if err := s.app.Restore(preOp); err == nil {
 		return
 	}
@@ -545,19 +500,19 @@ func (s *Supervisor) escalateTo(op Op, mech string, to Rung) {
 // budgetAllows prunes the retry log to the sliding window and reports
 // whether another retry fits the budget.
 func (s *Supervisor) budgetAllows() bool {
-	now := s.clock.Now()
+	now := s.env.Monotonic()
 	keep := s.retryLog[:0]
 	for _, t := range s.retryLog {
-		if now-t < s.cfg.RetryWindow {
+		if now-t < retryWindow {
 			keep = append(keep, t)
 		}
 	}
 	s.retryLog = keep
-	return len(s.retryLog) < s.cfg.RetryBudget
+	return len(s.retryLog) < retryBudget
 }
 
 func (s *Supervisor) noteRetry() {
-	s.retryLog = append(s.retryLog, s.clock.Now())
+	s.retryLog = append(s.retryLog, s.env.Monotonic())
 }
 
 // noteFailure records one observed failure in the report. rung is the
@@ -573,10 +528,6 @@ func (s *Supervisor) classify(err error) string {
 	if fe, ok := faultinject.AsFailure(err); ok {
 		return fe.Mechanism
 	}
-	var we *WatchdogError
-	if errors.As(err, &we) {
-		return MechWatchdog
-	}
 	var pe *panicError
 	if errors.As(err, &pe) {
 		return MechPanic
@@ -588,7 +539,7 @@ func (s *Supervisor) classify(err error) string {
 // supervisor clock. Nothing is computed when no hook is configured.
 func (s *Supervisor) trace(ev Event) {
 	if s.cfg.Trace != nil {
-		ev.At = s.clock.Now()
+		ev.At = s.env.Monotonic()
 		s.cfg.Trace(ev)
 	}
 }

@@ -46,31 +46,27 @@ func wrapOps(ops []faultinject.Op, kind OpKind) []Op {
 	return out
 }
 
-func TestBackoffScheduleShape(t *testing.T) {
-	cfg := Config{BackoffBase: time.Second, BackoffCap: 8 * time.Second, BackoffJitter: -1}
-	got := BackoffSchedule(cfg, 6)
-	want := []time.Duration{
-		time.Second, 2 * time.Second, 4 * time.Second,
-		8 * time.Second, 8 * time.Second, 8 * time.Second, // capped
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("delay[%d] = %s, want %s", i, got[i], want[i])
-		}
-	}
+// backoffShape is the supervisor's unjittered delay sequence: backoffBase
+// doubling per attempt until backoffCap.
+var backoffShape = []time.Duration{
+	time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second,
+	16 * time.Second, 32 * time.Second, 64 * time.Second, 128 * time.Second,
+	4 * time.Minute, 4 * time.Minute, // capped
+}
 
-	// With jitter: every delay lies in [pure, pure*(1+jitter)] and the
-	// sequence is reproducible from the seed.
-	cfg = Config{BackoffBase: time.Second, BackoffCap: 8 * time.Second, BackoffJitter: 0.5, Seed: 42}
-	a := BackoffSchedule(cfg, 6)
-	b := BackoffSchedule(cfg, 6)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("schedule not reproducible at %d: %s vs %s", i, a[i], b[i])
-		}
-		lo, hi := want[i], want[i]+want[i]/2
-		if a[i] < lo || a[i] > hi {
-			t.Errorf("jittered delay[%d] = %s outside [%s, %s]", i, a[i], lo, hi)
+// TestBackoffScheduleShape: every delay lies in [pure, pure·(1+jitter)] of
+// the exponential shape, and the sequence is reproducible from the seed.
+func TestBackoffScheduleShape(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for i, pure := range backoffShape {
+			d := backoff(i+1, a)
+			if again := backoff(i+1, b); d != again {
+				t.Fatalf("seed %d: schedule not reproducible at %d: %s vs %s", seed, i, d, again)
+			}
+			if hi := pure + pure/4; d < pure || d > hi {
+				t.Errorf("seed %d: jittered delay[%d] = %s outside [%s, %s]", seed, i, d, pure, hi)
+			}
 		}
 	}
 }
@@ -115,14 +111,24 @@ func TestRetryInPlaceSurvivesTransientRace(t *testing.T) {
 // TestBreakerOpensOnEnvironmentIndependentFault drives the EI valist-reuse
 // crash: every state-preserving retry recurs, so the failed-recovery streak
 // reaches the breaker threshold, the breaker opens, and later occurrences
-// fast-fail without spending retries.
+// fast-fail without spending retries. The threshold is longer than one
+// ladder walk, so the streak spans two episodes: a write the ladder walks in
+// full and sheds at the degraded rung (which leaves the breaker closed), then
+// a read whose retries reach the threshold.
 func TestBreakerOpensOnEnvironmentIndependentFault(t *testing.T) {
 	srv, sc := httpdUnder(t, httpd.MechValistReuse, 5)
-	cfg := Config{Seed: 5, BreakerThreshold: 3, RungAttempts: 2}
-	sup := New(srv, cfg)
-	// The same deterministic-crash op three times.
-	op := wrapOps(sc.Ops, OpRead)[0]
-	rep, err := sup.Run([]Op{op, op, op})
+	var opens []Event
+	sup := New(srv, Config{Seed: 5, Trace: func(ev Event) {
+		if ev.Kind == EventBreakerOpen {
+			opens = append(opens, ev)
+		}
+	}})
+	// The same deterministic-crash request, first as a write, then twice as
+	// a read.
+	read := wrapOps(sc.Ops, OpRead)[0]
+	write := read
+	write.Kind = OpWrite
+	rep, err := sup.Run([]Op{write, read, read})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -133,17 +139,22 @@ func TestBreakerOpensOnEnvironmentIndependentFault(t *testing.T) {
 	if ms.BreakerOpens != 1 {
 		t.Errorf("breaker opens = %d, want 1", ms.BreakerOpens)
 	}
-	if ms.Retries != 3 {
-		t.Errorf("retries = %d, want 3 (threshold reached within the budget)", ms.Retries)
+	if ms.Retries != breakerThreshold {
+		t.Errorf("retries = %d, want %d (threshold reached within the budget)", ms.Retries, breakerThreshold)
 	}
-	if ms.FastFails != 2 {
-		t.Errorf("fast fails = %d, want 2 (ops after the breaker opened)", ms.FastFails)
+	if ms.FastFails != 1 {
+		t.Errorf("fast fails = %d, want 1 (the op after the breaker opened)", ms.FastFails)
 	}
 	if ms.Recoveries != 0 {
 		t.Errorf("recoveries = %d, want 0", ms.Recoveries)
 	}
-	if rep.OpsFailed != 3 {
-		t.Errorf("ops failed = %d, want 3", rep.OpsFailed)
+	if rep.OpsShed != 1 || rep.OpsFailed != 2 {
+		t.Errorf("ops shed/failed = %d/%d, want 1/2", rep.OpsShed, rep.OpsFailed)
+	}
+	// The threshold opened the breaker on the read's second retry — not the
+	// exhausted ladder, which force-opens at the degraded rung.
+	if len(opens) != 1 || opens[0].Rung != RungRetry || opens[0].Attempt != 2 {
+		t.Errorf("breaker-open events = %+v, want one at the retry rung, attempt 2", opens)
 	}
 	var open bool
 	for _, bs := range rep.Breakers {
@@ -153,9 +164,6 @@ func TestBreakerOpensOnEnvironmentIndependentFault(t *testing.T) {
 	}
 	if !open {
 		t.Errorf("final breaker states = %+v, want %s open", rep.Breakers, httpd.MechValistReuse)
-	}
-	if rep.Degraded {
-		t.Error("breaker must stop the ladder before degraded mode")
 	}
 }
 
@@ -205,13 +213,13 @@ func TestFullDiskEscalatesToDegraded(t *testing.T) {
 }
 
 // TestDegradedRetryFailureReverts drives an EI crash all the way up the
-// ladder with an unreachable breaker threshold: degraded mode is entered, the
-// degraded retry still fails (the fault is not a resource condition), so
-// degraded mode is reverted, the breaker force-opens, and full service
-// resumes for the rest of the workload.
+// ladder, which the breaker threshold (longer than one ladder walk) lets it
+// climb in full: degraded mode is entered, the degraded retry still fails
+// (the fault is not a resource condition), so degraded mode is reverted, the
+// breaker force-opens, and full service resumes for the rest of the workload.
 func TestDegradedRetryFailureReverts(t *testing.T) {
 	srv, sc := httpdUnder(t, httpd.MechValistReuse, 11)
-	sup := New(srv, Config{Seed: 11, BreakerThreshold: 99, RungAttempts: 1})
+	sup := New(srv, Config{Seed: 11})
 	bad := wrapOps(sc.Ops, OpRead)[0]
 	good := Op{Name: "GET /index.html", Kind: OpRead, Do: func() error {
 		_, err := srv.Serve(httpd.Request{Method: "GET", Path: "/index.html"})
@@ -243,10 +251,11 @@ func TestDegradedRetryFailureReverts(t *testing.T) {
 }
 
 // TestBackoffTraceMatchesSchedule asserts the supervisor's first recovery
-// episode sleeps exactly the delays BackoffSchedule predicts for its config.
+// episode sleeps exactly the delays a generator seeded from its config seed
+// predicts.
 func TestBackoffTraceMatchesSchedule(t *testing.T) {
 	var delays []time.Duration
-	cfg := Config{Seed: 21, BreakerThreshold: 3, RungAttempts: 2,
+	cfg := Config{Seed: 21,
 		Trace: func(ev Event) {
 			if ev.Kind == EventBackoff {
 				delays = append(delays, ev.Delay)
@@ -258,14 +267,14 @@ func TestBackoffTraceMatchesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	want := BackoffSchedule(Config{Seed: 21}, len(delays))
 	if len(delays) == 0 {
 		t.Fatal("no backoff events traced")
 	}
+	ref := rand.New(rand.NewSource(21))
 	var total time.Duration
 	for i := range delays {
-		if delays[i] != want[i] {
-			t.Errorf("backoff[%d] = %s, want %s", i, delays[i], want[i])
+		if want := backoff(i+1, ref); delays[i] != want {
+			t.Errorf("backoff[%d] = %s, want %s", i, delays[i], want)
 		}
 		total += delays[i]
 	}
@@ -304,8 +313,7 @@ func TestWatchdogChargesHangSymptom(t *testing.T) {
 		}
 		return nil
 	}}
-	wd := 45 * time.Second
-	sup := New(app, Config{Seed: 31, WatchdogTimeout: wd})
+	sup := New(app, Config{Seed: 31})
 	rep, err := sup.Run([]Op{op})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -317,49 +325,53 @@ func TestWatchdogChargesHangSymptom(t *testing.T) {
 	if ms == nil || ms.WatchdogTimeouts != 1 {
 		t.Errorf("mech stats = %+v, want 1 watchdog timeout", ms)
 	}
-	if got := app.env.Monotonic(); got < wd {
-		t.Errorf("virtual clock advanced %s, want >= %s (the hang was charged)", got, wd)
+	if got := app.env.Monotonic(); got < watchdogTimeout {
+		t.Errorf("virtual clock advanced %s, want >= %s (the hang was charged)", got, watchdogTimeout)
 	}
 }
 
-// TestWallClockWatchdogAbandonsBlockedOp: an op that genuinely blocks is
-// abandoned after WallTimeout, every retry times out too, the retry budget
-// trips the crash-loop guard, and the degraded retry failure reverts degraded
-// mode — the op is lost but the supervisor survives.
-func TestWallClockWatchdogAbandonsBlockedOp(t *testing.T) {
-	app := newStubApp(37)
-	block := make(chan struct{})
-	defer close(block)
-	op := Op{Name: "blocked", Kind: OpRead, Do: func() error {
-		<-block
-		return nil
+// wedged is an op that always fails with the hang symptom under mech.
+func wedged(name, mech string, kind OpKind) Op {
+	return Op{Name: name, Kind: kind, Do: func() error {
+		return faultinject.Fail(mech, taxonomy.SymptomHang, "wedged")
 	}}
-	sup := New(app, Config{Seed: 37, WallTimeout: 25 * time.Millisecond, RetryBudget: 2, RungAttempts: 1})
-	rep, err := sup.Run([]Op{op})
+}
+
+// TestCrashLoopOnRecurringHang: ops that hang on every execution walk the
+// ladder until the retry budget runs out. The first op's full ladder walk
+// and degraded retry spend 9 of the 12 retries the window allows, so the
+// second op's episode trips the crash-loop guard on its fourth attempt; its
+// degraded retry hangs too, which reverts degraded mode and opens the
+// mechanism's breaker — both ops are lost but the supervisor survives.
+func TestCrashLoopOnRecurringHang(t *testing.T) {
+	app := newStubApp(37)
+	const first, second = "stub/wedge-a", "stub/wedge-b"
+	sup := New(app, Config{Seed: 37})
+	rep, err := sup.Run([]Op{wedged("a", first, OpRead), wedged("b", second, OpRead)})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if rep.OpsFailed != 1 {
-		t.Errorf("ops failed = %d, want 1\n%s", rep.OpsFailed, rep)
+	if rep.OpsFailed != 2 {
+		t.Errorf("ops failed = %d, want 2\n%s", rep.OpsFailed, rep)
 	}
-	ms := rep.Mechanisms[MechWatchdog]
-	if ms == nil || ms.WatchdogTimeouts == 0 {
-		t.Fatalf("mech stats = %+v, want wall watchdog timeouts", ms)
+	ms := rep.Mechanisms[second]
+	if ms == nil || ms.WatchdogTimeouts != 5 {
+		t.Fatalf("mech stats = %+v, want 5 watchdog timeouts (initial, 3 retries, degraded retry)", ms)
 	}
 	if rep.CrashLoopTrips != 1 {
-		t.Errorf("crash loop trips = %d, want 1 (retry budget of 2 exhausted)", rep.CrashLoopTrips)
+		t.Errorf("crash loop trips = %d, want 1 (retry budget of %d exhausted)", rep.CrashLoopTrips, retryBudget)
 	}
 	if rep.Degraded {
-		t.Error("degraded mode should have been reverted after the degraded retry also blocked")
+		t.Error("degraded mode should have been reverted after the degraded retry also hung")
 	}
 	var open bool
 	for _, bs := range rep.Breakers {
-		if bs.Mechanism == MechWatchdog && bs.State == BreakerOpen {
+		if bs.Mechanism == second && bs.State == BreakerOpen {
 			open = true
 		}
 	}
 	if !open {
-		t.Errorf("breakers = %+v, want %s open", rep.Breakers, MechWatchdog)
+		t.Errorf("breakers = %+v, want %s open", rep.Breakers, second)
 	}
 }
 
@@ -393,11 +405,12 @@ func TestPanicIsSupervised(t *testing.T) {
 func TestBreakerHalfOpenTrialCloses(t *testing.T) {
 	app := newStubApp(43)
 	const mech = "stub/heals-later"
-	// The fault fails a fixed number of executions, then heals: 3 in the
-	// first run (initial + two retries, opening the breaker at threshold 2),
-	// 1 fast-failed initial in the second run, and 1 more initial failure in
-	// the third run whose half-open trial retry then succeeds.
-	failsLeft := 5
+	// The fault fails a fixed number of executions, then heals: 10 in the
+	// first run (initial, 8 ladder retries and the degraded retry, after
+	// which the exhausted ladder force-opens the breaker), 1 fast-failed
+	// initial in the second run, and 1 more initial failure in the third run
+	// whose half-open trial retry then succeeds.
+	failsLeft := 12
 	op := Op{Name: "heals-later", Kind: OpRead, Do: func() error {
 		if failsLeft > 0 {
 			failsLeft--
@@ -405,8 +418,7 @@ func TestBreakerHalfOpenTrialCloses(t *testing.T) {
 		}
 		return nil
 	}}
-	cooldown := 10 * time.Minute
-	sup := New(app, Config{Seed: 43, BreakerThreshold: 2, RungAttempts: 1, BreakerCooldown: cooldown})
+	sup := New(app, Config{Seed: 43})
 	// First run: breaker opens.
 	if rep, err := sup.Run([]Op{op}); err != nil || rep.Mechanisms[mech].BreakerOpens != 1 {
 		t.Fatalf("first run: err=%v report=\n%s", err, rep)
@@ -418,7 +430,7 @@ func TestBreakerHalfOpenTrialCloses(t *testing.T) {
 	}
 	// Let the cooldown pass: the next failure is admitted as a half-open
 	// trial, and its successful recovery closes the breaker.
-	app.env.Advance(cooldown)
+	app.env.Advance(breakerCooldown)
 	rep, err = sup.Run([]Op{op})
 	if err != nil {
 		t.Fatalf("post-cooldown run: %v", err)
@@ -515,12 +527,14 @@ func TestRungAndEventNames(t *testing.T) {
 	}
 }
 
+// TestBackoffInjectedRandReproducible: the jittered sequence is a function
+// of the generator's seed — equal seeds agree, different seeds differ.
 func TestBackoffInjectedRandReproducible(t *testing.T) {
 	mk := func(seed int64) []time.Duration {
-		b := newBackoff(10*time.Millisecond, 500*time.Millisecond, 0.5, seededRand(seed))
+		rng := rand.New(rand.NewSource(seed))
 		out := make([]time.Duration, 0, 6)
 		for i := 1; i <= 6; i++ {
-			out = append(out, b.next(i))
+			out = append(out, backoff(i, rng))
 		}
 		return out
 	}
@@ -543,30 +557,18 @@ func TestBackoffInjectedRandReproducible(t *testing.T) {
 }
 
 // TestBackoffScheduleMatchesEagerSeeding checks, across seeds, that every
-// jittered delay is the one a dedicated rand.New(rand.NewSource(seed)) would
-// make it, so the schedule depends on the config seed alone.
+// jittered delay a supervisor draws is the one a dedicated
+// rand.New(rand.NewSource(seed)) would make it, so the schedule depends on
+// the config seed alone.
 func TestBackoffScheduleMatchesEagerSeeding(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		cfg := Config{Seed: seed, BackoffBase: 10 * time.Millisecond, BackoffCap: time.Second, BackoffJitter: 0.5}
-		got := BackoffSchedule(cfg, 12)
+		sup := New(newStubApp(seed), Config{Seed: seed})
 		ref := rand.New(rand.NewSource(seed))
-		plain := newBackoff(cfg.BackoffBase, cfg.BackoffCap, 0, nil)
-		for i, d := range got {
-			base := plain.next(i + 1)
-			want := base + time.Duration(float64(base)*cfg.BackoffJitter*ref.Float64())
-			if d != want {
+		for i, pure := range backoffShape {
+			want := pure + time.Duration(float64(pure)*backoffJitter*ref.Float64())
+			if d := backoff(i+1, sup.rng); d != want {
 				t.Fatalf("seed %d attempt %d: delay %v, want %v", seed, i+1, d, want)
 			}
-		}
-	}
-}
-
-func TestBackoffNilRandDisablesJitter(t *testing.T) {
-	b := newBackoff(10*time.Millisecond, 500*time.Millisecond, 0.5, nil)
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
-	for i, w := range want {
-		if got := b.next(i + 1); got != w {
-			t.Errorf("attempt %d: delay %v, want exact %v (nil rng must mean no jitter)", i+1, got, w)
 		}
 	}
 }
@@ -578,7 +580,19 @@ func TestBackoffNilRandDisablesJitter(t *testing.T) {
 // episode that ends mid-ladder (crash-loop trip into a shed) previously
 // excluded its trailing watchdog charge from the percentile sample.
 func TestEpisodeDurationStampedAtDecisionTime(t *testing.T) {
-	const hangCharge = 30 * time.Second
+	// backoffs collects the traced backoff delays per op.
+	backoffs := map[string][]time.Duration{}
+	cfg := Config{Trace: func(ev Event) {
+		if ev.Kind == EventBackoff {
+			backoffs[ev.Op] = append(backoffs[ev.Op], ev.Delay)
+		}
+	}}
+	sum := func(ds []time.Duration) (total time.Duration) {
+		for _, d := range ds {
+			total += d
+		}
+		return total
+	}
 
 	// Served case: one hang, one backoff, then success. The repair duration
 	// must be hang + first backoff exactly.
@@ -591,18 +605,15 @@ func TestEpisodeDurationStampedAtDecisionTime(t *testing.T) {
 		}
 		return nil
 	}}
-	cfg := Config{
-		WatchdogTimeout: hangCharge,
-		BackoffBase:     time.Second,
-		BackoffJitter:   -1, // exact schedule
-		RungAttempts:    1,
-	}
 	sup := New(srv, cfg)
 	rep, err := sup.Run([]Op{op})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	wantServed := hangCharge + time.Second // initial hang charge + backoff(1)
+	if len(backoffs["flaky"]) != 1 {
+		t.Fatalf("backoffs = %v, want exactly one", backoffs["flaky"])
+	}
+	wantServed := watchdogTimeout + backoffs["flaky"][0] // initial hang charge + backoff(1)
 	if len(rep.EpisodeDurations) != 1 || rep.EpisodeDurations[0] != wantServed {
 		t.Fatalf("EpisodeDurations = %v, want [%s]", rep.EpisodeDurations, wantServed)
 	}
@@ -613,31 +624,35 @@ func TestEpisodeDurationStampedAtDecisionTime(t *testing.T) {
 		t.Fatalf("report missing episode percentiles:\n%s", s)
 	}
 
-	// Mid-ladder case: the op always hangs and the retry budget is 1, so the
-	// second budget check trips the crash loop and the write is shed at the
-	// degraded rung. The episode's duration must still include the retry's
-	// trailing watchdog charge: hang + backoff(1) + hang.
+	// Mid-ladder case: a read that always hangs spends 9 of the retry
+	// budget, so the always-hanging write after it trips the crash loop on
+	// its fourth budget check and is shed at the degraded rung. The write's
+	// episode duration must still include its last retry's trailing watchdog
+	// charge: hang + 3 × (backoff + hang).
 	srv2, _ := httpdUnder(t, httpd.MechNullDeref, 8)
-	always := Op{Name: "wedged-write", Kind: OpWrite, Do: func() error {
-		return faultinject.Fail("httpd/test-hang", taxonomy.SymptomHang, "wedged")
-	}}
-	cfg2 := cfg
-	cfg2.RetryBudget = 1
-	sup2 := New(srv2, cfg2)
-	rep2, err := sup2.Run([]Op{always})
+	sup2 := New(srv2, cfg)
+	rep2, err := sup2.Run([]Op{
+		wedged("wedged-read", "httpd/test-hang", OpRead),
+		wedged("wedged-write", "httpd/test-hang-write", OpWrite),
+	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if rep2.OpsShed != 1 {
-		t.Fatalf("OpsShed = %d, want 1 (crash loop should shed the write)", rep2.OpsShed)
+	if rep2.OpsShed != 1 || rep2.CrashLoopTrips != 1 {
+		t.Fatalf("OpsShed = %d, CrashLoopTrips = %d, want 1/1 (crash loop should shed the write)",
+			rep2.OpsShed, rep2.CrashLoopTrips)
 	}
-	wantShed := hangCharge + time.Second + hangCharge
-	if len(rep2.EpisodeDurations) != 1 || rep2.EpisodeDurations[0] != wantShed {
-		t.Fatalf("EpisodeDurations = %v, want [%s] (must include the trailing watchdog charge)",
+	writeBackoffs := backoffs["wedged-write"]
+	if len(writeBackoffs) != 3 {
+		t.Fatalf("write backoffs = %v, want 3 before the crash loop", writeBackoffs)
+	}
+	wantShed := watchdogTimeout + sum(writeBackoffs) + 3*watchdogTimeout
+	if len(rep2.EpisodeDurations) != 2 || rep2.EpisodeDurations[1] != wantShed {
+		t.Fatalf("EpisodeDurations = %v, want [_ %s] (must include the trailing watchdog charge)",
 			rep2.EpisodeDurations, wantShed)
 	}
 	if len(rep2.RepairDurations) != 0 {
-		t.Fatalf("RepairDurations = %v, want empty (op was shed, not served)", rep2.RepairDurations)
+		t.Fatalf("RepairDurations = %v, want empty (no op was served)", rep2.RepairDurations)
 	}
 }
 
@@ -726,7 +741,7 @@ func TestMicrorebootWidensToSubtree(t *testing.T) {
 		component.NewStore())
 
 	var microAttempts int
-	cfg := Config{Seed: 9, RungAttempts: 2, Trace: func(ev Event) {
+	cfg := Config{Seed: 9, Trace: func(ev Event) {
 		if ev.Kind == EventAction && ev.Rung == RungMicroreboot {
 			if ev.Component != httpd.CompCore {
 				t.Errorf("microreboot component = %q, want %q", ev.Component, httpd.CompCore)
